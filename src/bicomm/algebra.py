@@ -23,7 +23,7 @@ from math import comb
 
 from .errors import BadElement, FieldMismatch, InvalidIndexMap
 from .monomials import Monomial
-from .polynomials import Poly, format_terms
+from .polynomials import Poly, format_terms, product_of_terms
 from .scalars import Field
 from .terms import Leaf, NAPolynomial, NATerm
 
@@ -119,9 +119,18 @@ class BicommElement:
         return BicommElement(self.field, lin, self.quad.scale(coeff))
 
     def multiply(self, other: "BicommElement") -> "BicommElement":
-        """Algebra product; the result always lies in the square."""
+        """Algebra product; the result always lies in the square.
+
+        Expands t(self) * s(other) term by term without building the two
+        polynomials: a linear term x_i of self acts as y_i, a linear term
+        x_j of other as z_j.
+        """
         self.field.check_same(other.field)
-        return BicommElement.from_quad(self.t_poly().mul(other.s_poly()))
+        left = [(Monomial([(i, 1)], []), c) for i, c in self.lin.items()]
+        left += self.quad.terms.items()
+        right = [(Monomial([], [(j, 1)]), c) for j, c in other.lin.items()]
+        right += other.quad.terms.items()
+        return BicommElement.from_quad(product_of_terms(self.field, left, right))
 
     def __mul__(self, other):
         return self.multiply(other)

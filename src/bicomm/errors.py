@@ -69,5 +69,9 @@ class NotMultilinear(BicommError):
     """Polynomial is not multilinear in x1..xn as required by the mode."""
 
 
+class BadAlgebra(BicommError):
+    """Structure-algebra description is malformed (e.g. JSON lacks a key)."""
+
+
 class WrongCharacteristic(BicommError):
     """Operation requires a specific field characteristic."""

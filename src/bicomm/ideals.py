@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import gcd
 
 from .algebra import BicommElement
-from .errors import BadChain, FieldMismatch, UnsupportedGenerator
+from .errors import BadChain, UnsupportedGenerator
 from .linalg import Echelon
 from .monomials import Monomial
 from .orders import weight_key
@@ -52,26 +52,22 @@ def poly_divmod(p: Poly, divisors):
     leading monomial.  Ties go to the first divisor in list order.
     """
     field = p.field
-    leads = [(d.leading(), d) for d in divisors if not d.is_zero]
+    leads = [(d.leading(), i, d) for i, d in enumerate(divisors) if not d.is_zero]
     work = dict(p.terms)
     remainder = {}
     cofactors = [dict() for _ in divisors]
-    index_of = {id(d): i for i, d in enumerate(divisors)}
     while work:
         m = max(work, key=weight_key)
         coeff = work.pop(m)
-        hit = None
-        for (lm, lc), d in leads:
+        for (lm, lc), i, d in leads:
             if lm.divides(m):
-                hit = (lm, lc, d)
                 break
-        if hit is None:
+        else:
             remainder[m] = coeff
             continue
-        lm, lc, d = hit
         q = field.div(coeff, lc)
         qm = m.div(lm)
-        cof = cofactors[index_of[id(d)]]
+        cof = cofactors[i]
         cof[qm] = field.add(cof.get(qm, field.zero), q)
         for dm, dc in d.terms.items():
             if dm == lm:
@@ -140,8 +136,14 @@ def _primitive(p: Poly, field: Field) -> Poly:
     return p.scale(scale)
 
 
-def buchberger(gens, field: Field | None = None) -> GroebnerBasis:
+def buchberger(gens, field: Field | None = None, start: GroebnerBasis | None = None) -> GroebnerBasis:
     """Reduced Groebner basis under the weight order.
+
+    With start, the reduced basis of some ideal I, the result is the
+    reduced basis of I + (gens).  Each new polynomial is first reduced by
+    the basis so far and dropped if it vanishes; only pairs involving a
+    new element are queued, and pairs inside start count as treated for
+    the chain criterion, since start is already closed under S-polynomials.
 
     S-pairs are selected by smallest lcm (normal strategy) with index
     tiebreak; pairs with coprime leading monomials are skipped, as are
@@ -152,27 +154,45 @@ def buchberger(gens, field: Field | None = None) -> GroebnerBasis:
     """
     polys = [p for p in gens if not p.is_zero]
     if field is None:
-        if not polys:
+        if start is not None:
+            field = start.field
+        elif not polys:
             raise ValueError("cannot infer the field from an empty input")
-        field = polys[0].field
+        else:
+            field = polys[0].field
+    if start is not None:
+        field.check_same(start.field)
     for p in polys:
         field.check_same(p.field)
 
-    basis = []
+    basis = list(start.generators) if start is not None else []
+    old = len(basis)
     seen = set()
     for p in polys:
+        if start is not None:
+            p = poly_normal_form(p, basis)
+            if p.is_zero:
+                continue
         q = _primitive(p, field)
         if q not in seen:
             seen.add(q)
             basis.append(q)
+    if start is not None and len(basis) == old:
+        return GroebnerBasis(field, basis)
 
     lead = [g.leading()[0] for g in basis]
     pairs = []
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
+    for j in range(old, len(basis)):
+        for i in range(j):
             lcm = lead[i].lcm(lead[j])
             heapq.heappush(pairs, (weight_key(lcm), i, j, lcm))
     done = set()
+
+    def treated(a, b):
+        if a > b:
+            a, b = b, a
+        return b < old or (a, b) in done
+
     while pairs:
         _, i, j, lcm = heapq.heappop(pairs)
         done.add((i, j))
@@ -182,8 +202,8 @@ def buchberger(gens, field: Field | None = None) -> GroebnerBasis:
             k != i
             and k != j
             and lead[k].divides(lcm)
-            and (min(i, k), max(i, k)) in done
-            and (min(j, k), max(j, k)) in done
+            and treated(i, k)
+            and treated(j, k)
             for k in range(len(basis))
         )
         if covered:
@@ -257,19 +277,30 @@ class MembershipResult:
         return f"MembershipResult({self.member})"
 
 
-class TwoSidedPresentation:
-    """Finite presentation of the two-sided ideal generated by elements.
+_SIDES = ("two", "left", "right")
 
-    Stores per generator the polynomials s_k and t_k, the kernel
-    polynomials pi (quadratic parts of combinations with vanishing
-    linear part), and a Groebner basis of the module ideal, all per
-    variable range; ranges grow on demand when a query element uses
-    higher indices than the generators.
+
+class TwoSidedPresentation:
+    """Finite presentation of the ideal generated by elements.
+
+    Two-sided by default; side="left" or "right" presents the one-sided
+    ideal with the same machinery.  Stores the kernel polynomials pi and,
+    per variable range, a Groebner basis of the module ideal; ranges grow
+    on demand when a query element uses higher indices than the
+    generators.
+
+    Two-sided: the module ideal is generated by y_j s_k and t_k z_j, and
+    pi holds the quadratic parts of the combinations of generators with
+    vanishing linear part.  One-sided: generators have no linear part,
+    the module ideal is generated by the y_j (left) or z_j (right)
+    multiples of their quadratic parts, and pi is those quadratic parts.
     """
 
-    __slots__ = ("field", "generators", "lin_echelon", "_cache", "_pi_raw")
+    __slots__ = ("field", "generators", "side", "lin_echelon", "_cache", "_seeds", "_pi_raw")
 
-    def __init__(self, generators, field: Field | None = None):
+    def __init__(self, generators, field: Field | None = None, side: str = "two"):
+        if side not in _SIDES:
+            raise ValueError(f"unknown side {side!r}")
         gens = list(generators)
         if field is None:
             if not gens:
@@ -279,9 +310,55 @@ class TwoSidedPresentation:
             field.check_same(g.field)
         self.field = field
         self.generators = gens
+        self.side = side
         self.lin_echelon = Echelon(field)
         self._cache = {}
+        # range -> (basis of a smaller ideal, generators it lacks)
+        self._seeds = {}
         self._pi_raw = None
+
+    def extended(self, new_gens) -> "TwoSidedPresentation":
+        """Presentation of the ideal with new_gens added.
+
+        Every basis cached (or seeded) at a range the larger ideal still
+        uses becomes the start of its new basis, so only S-pairs that
+        involve the new module generators are treated.
+        """
+        new = list(new_gens)
+        out = TwoSidedPresentation(self.generators + new, self.field, self.side)
+        top = out.var_range
+        for d, (start, missing) in self._seeds.items():
+            if d >= top:
+                out._seeds[d] = (start, missing + new)
+        for d, (gb, _, _) in self._cache.items():
+            if d >= top:
+                out._seeds[d] = (gb, new)
+        return out
+
+    def _module_gens(self, gens, d: int) -> list:
+        """Generators of the module ideal contributed by gens, indices up to d."""
+        out = []
+        seen = set()
+
+        def push(p):
+            if not p.is_zero:
+                q = p.monic()
+                if q not in seen:
+                    seen.add(q)
+                    out.append(q)
+
+        ys = [Monomial([(j, 1)], []) for j in range(1, d + 1)]
+        zs = [Monomial([], [(j, 1)]) for j in range(1, d + 1)]
+        for g in gens:
+            if self.side == "two":
+                s, t = g.s_poly(), g.t_poly()
+                for y, z in zip(ys, zs):
+                    push(s.mul_monomial(y))
+                    push(t.mul_monomial(z))
+            else:
+                for m in ys if self.side == "left" else zs:
+                    push(g.quad.mul_monomial(m))
+        return out
 
     def _kernel_polys(self):
         """Quadratic parts of the linear-kernel combinations, plus the
@@ -303,26 +380,13 @@ class TwoSidedPresentation:
         d = max(var_range, self.var_range)
         if d in self._cache:
             return self._cache[d]
-        field = self.field
-        module_gens = []
-        seen = set()
-
-        def push(p):
-            if not p.is_zero:
-                q = p.monic()
-                if q not in seen:
-                    seen.add(q)
-                    module_gens.append(q)
-
-        s_list = [g.s_poly() for g in self.generators]
-        t_list = [g.t_poly() for g in self.generators]
-        for k, g in enumerate(self.generators):
-            for j in range(1, d + 1):
-                push(s_list[k].mul_monomial(Monomial([(j, 1)], [])))
-                push(t_list[k].mul_monomial(Monomial([], [(j, 1)])))
-        gb = buchberger(module_gens, field)
+        if d in self._seeds:
+            start, missing = self._seeds.pop(d)
+            gb = buchberger(self._module_gens(missing, d), self.field, start=start)
+        else:
+            gb = buchberger(self._module_gens(self.generators, d), self.field)
         pi = self.pi
-        pi_ech = Echelon(field, sort_key=weight_key)
+        pi_ech = Echelon(self.field, sort_key=weight_key)
         for i, p in enumerate(pi):
             pi_ech.insert(dict(poly_normal_form(p, gb).terms), label=i)
         data = (gb, pi, pi_ech)
@@ -332,7 +396,10 @@ class TwoSidedPresentation:
     @property
     def pi(self):
         if self._pi_raw is None:
-            self._pi_raw = self._kernel_polys()
+            if self.side == "two":
+                self._pi_raw = self._kernel_polys()
+            else:
+                self._pi_raw = [g.quad for g in self.generators]
         return self._pi_raw
 
     @property
@@ -343,19 +410,18 @@ class TwoSidedPresentation:
         return r
 
 
-def two_sided_member(f: BicommElement, pres) -> MembershipResult:
-    """Decide membership of f in the two-sided ideal of the presentation.
+def _member(f: BicommElement, pres: TwoSidedPresentation) -> MembershipResult:
+    """Decide membership of f in the ideal of the presentation.
 
-    pres may be a TwoSidedPresentation or a plain list of generators.
-    Solve the linear parts exactly, then test the adjusted quadratic part
-    against the module ideal plus the span of the kernel polynomials.
+    Solve the linear part exactly over the generators' linear parts (a
+    one-sided presentation has none, so only f without linear part gets
+    past this), then test the adjusted quadratic part against the module
+    ideal plus the span of the kernel polynomials, and certify a member
+    by division.
     """
-    if not isinstance(pres, TwoSidedPresentation):
-        gens = list(pres)
-        if not gens:
-            return MembershipResult(f.is_zero, {}, {}, [])
-        pres = TwoSidedPresentation(gens, field=f.field)
     field = pres.field
+    if pres.side != "two" and any(g.lin for g in pres.generators):
+        raise UnsupportedGenerator("one-sided membership needs generators without linear part")
     field.check_same(f.field)
     if f.is_zero:
         return MembershipResult(True, {}, {}, [])
@@ -385,51 +451,30 @@ def two_sided_member(f: BicommElement, pres) -> MembershipResult:
     return MembershipResult(True, mu, span, named)
 
 
-def _one_sided_member(f: BicommElement, gens, side: str) -> MembershipResult:
-    field = None
+def _member_of(f: BicommElement, gens, side: str) -> MembershipResult:
+    """Membership of f in the side's ideal of gens: a list of generators,
+    or a presentation built with that side."""
+    if isinstance(gens, TwoSidedPresentation):
+        if gens.side != side:
+            raise ValueError(f"presentation of a {gens.side} ideal, not a {side} one")
+        return _member(f, gens)
     elements = list(gens)
-    for g in elements:
-        if field is None:
-            field = g.field
-        field.check_same(g.field)
-        if g.lin:
-            raise UnsupportedGenerator(
-                "one-sided membership needs generators without linear part"
-            )
-    if field is None:
-        field = f.field
-    field.check_same(f.field)
-    if f.is_zero:
-        return MembershipResult(True, {}, {}, [])
-    if f.lin or not elements:
-        return MembershipResult(False)
-    d = f.max_index()
-    for g in elements:
-        d = max(d, g.max_index())
-    module_gens = []
-    for g in elements:
-        for j in range(1, d + 1):
-            if side == "left":
-                m = Monomial([(j, 1)], [])
-            else:
-                m = Monomial([], [(j, 1)])
-            module_gens.append(g.quad.mul_monomial(m))
-    gb = buchberger(module_gens, field)
-    ech = Echelon(field, sort_key=weight_key)
-    for k, g in enumerate(elements):
-        ech.insert(dict(poly_normal_form(g.quad, gb).terms), label=k)
-    nf = poly_normal_form(f.quad, gb)
-    span = ech.express(dict(nf.terms))
-    if span is None:
-        return MembershipResult(False)
-    residue = f.quad
-    for k, c in span.items():
-        residue = residue.add_scaled(field.neg(c), elements[k].quad)
-    cofactors, rem = poly_divmod(residue, gb.generators)
-    if not rem.is_zero:
-        raise AssertionError("division failed to certify a proven member")
-    named = [(i, c) for i, c in enumerate(cofactors) if not c.is_zero]
-    return MembershipResult(True, {}, span, named)
+    field = elements[0].field if elements else f.field
+    return _member(f, TwoSidedPresentation(elements, field, side))
+
+
+def two_sided_member(f: BicommElement, pres) -> MembershipResult:
+    """Decide membership of f in the two-sided ideal of the presentation.
+
+    pres may be a TwoSidedPresentation or a plain list of generators.
+    Solve the linear parts exactly, then test the adjusted quadratic part
+    against the module ideal plus the span of the kernel polynomials.
+    """
+    if not isinstance(pres, TwoSidedPresentation):
+        pres = list(pres)
+        if not pres:
+            return MembershipResult(f.is_zero, {}, {}, [])
+    return _member_of(f, pres, "two")
 
 
 def left_ideal_member(f: BicommElement, gens) -> MembershipResult:
@@ -437,14 +482,15 @@ def left_ideal_member(f: BicommElement, gens) -> MembershipResult:
 
     Left multiplications only ever multiply by y variables or mixed
     monomials, so the reachable set is the span of the generators plus
-    the polynomial ideal of their y-multiples.
+    the polynomial ideal of their y-multiples.  gens may also be a
+    presentation built with side="left".
     """
-    return _one_sided_member(f, gens, "left")
+    return _member_of(f, gens, "left")
 
 
 def right_ideal_member(f: BicommElement, gens) -> MembershipResult:
-    """Mirror image of left_ideal_member, with z-multiples."""
-    return _one_sided_member(f, gens, "right")
+    """Mirror image of left_ideal_member, with z-multiples (side="right")."""
+    return _member_of(f, gens, "right")
 
 
 def chain_stabilization(steps, mode: str = "two"):
@@ -455,8 +501,12 @@ def chain_stabilization(steps, mode: str = "two"):
     every later step's new generators already belong to the ideal built
     so far, or None when growth continues through the final step (the
     list does not certify stabilization).
+
+    One presentation follows the chain: it is kept as it is while the
+    ideal does not grow, and extended by the new generators when it does.
     """
-    if mode not in ("two", "left", "right"):
+    member = {"two": two_sided_member, "left": left_ideal_member, "right": right_ideal_member}.get(mode)
+    if member is None:
         raise ValueError(f"unknown mode {mode!r}")
     steps = [list(step) for step in steps]
     if not steps:
@@ -464,6 +514,7 @@ def chain_stabilization(steps, mode: str = "two"):
     last_growth = 0
     prev: list = []
     prev_set: set = set()
+    pres = None  # presentation of the ideal of prev, built on first use
     for idx, step in enumerate(steps, 1):
         step_set = set(step)
         if not prev_set <= step_set:
@@ -472,13 +523,11 @@ def chain_stabilization(steps, mode: str = "two"):
         if idx == 1:
             grew = any(not g.is_zero for g in new)
         elif new:
-            if mode == "two":
-                pres = TwoSidedPresentation(prev)
-                grew = any(not two_sided_member(g, pres) for g in new)
-            elif mode == "left":
-                grew = any(not left_ideal_member(g, prev) for g in new)
-            else:
-                grew = any(not right_ideal_member(g, prev) for g in new)
+            if pres is None:
+                pres = TwoSidedPresentation(prev, new[0].field, mode)
+            grew = any(not member(g, pres) for g in new)
+            if grew:
+                pres = pres.extended(new)
         else:
             grew = False
         if grew:

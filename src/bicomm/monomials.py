@@ -36,14 +36,40 @@ def _merge_add(a: tuple, b: tuple) -> tuple:
     return tuple(sorted(acc.items()))
 
 
+def _support(ys: tuple, zs: tuple) -> int:
+    """Bitmask of the occurring variables: bit 2i for y_i, bit 2i+1 for z_i."""
+    mask = 0
+    for i, _ in ys:
+        mask |= 1 << (2 * i)
+    for i, _ in zs:
+        mask |= 2 << (2 * i)
+    return mask
+
+
+def _dominated(small: tuple, big: tuple) -> bool:
+    """Whether each exponent of small is at most big's at the same index.
+
+    Both are ascending by index and small's indices occur in big.
+    """
+    rest = iter(big)
+    for i, e in small:
+        for j, f in rest:
+            if j == i:
+                if f < e:
+                    return False
+                break
+    return True
+
+
 class Monomial:
-    __slots__ = ("ys", "zs", "_hash", "_wkey")
+    __slots__ = ("ys", "zs", "_hash", "_wkey", "_mask")
 
     def __init__(self, ys=(), zs=()):
         self.ys = _clean(ys)
         self.zs = _clean(zs)
         self._hash = hash((self.ys, self.zs))
         self._wkey = None
+        self._mask = None  # support bitmask, set by the first divides
 
     @property
     def ydeg(self) -> int:
@@ -94,10 +120,15 @@ class Monomial:
         return Monomial(_merge_add(self.ys, other.ys), _merge_add(self.zs, other.zs))
 
     def divides(self, other: "Monomial") -> bool:
-        oy, oz = dict(other.ys), dict(other.zs)
-        return all(oy.get(i, 0) >= e for i, e in self.ys) and all(
-            oz.get(i, 0) >= e for i, e in self.zs
-        )
+        a = self._mask
+        if a is None:
+            a = self._mask = _support(self.ys, self.zs)
+        b = other._mask
+        if b is None:
+            b = other._mask = _support(other.ys, other.zs)
+        if a & ~b:
+            return False  # some variable of self does not occur in other
+        return _dominated(self.ys, other.ys) and _dominated(self.zs, other.zs)
 
     def div(self, other: "Monomial") -> "Monomial":
         """Quotient self / other; other must divide self."""

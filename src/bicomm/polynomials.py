@@ -11,14 +11,16 @@ class Poly:
     """A polynomial in K[Y, Z], stored as a dict Monomial -> coefficient.
 
     Zero coefficients are never stored.  Instances are treated as
-    immutable by convention: all operations return new polynomials.
+    immutable by convention: all operations return new polynomials, and
+    the leading term is cached on first use.
     """
 
-    __slots__ = ("field", "terms")
+    __slots__ = ("field", "terms", "_lead")
 
     def __init__(self, field: Field, terms=None):
         self.field = field
         self.terms = {}
+        self._lead = None
         if terms:
             for m, c in dict(terms).items():
                 if c:
@@ -49,8 +51,11 @@ class Poly:
 
     def leading(self):
         """Greatest (monomial, coefficient) pair under the weight order."""
-        m = max(self.terms, key=weight_key)
-        return m, self.terms[m]
+        lead = self._lead
+        if lead is None:
+            m = max(self.terms, key=weight_key)
+            lead = self._lead = (m, self.terms[m])
+        return lead
 
     def sorted_terms(self) -> list:
         """Terms as (monomial, coefficient), weight-descending."""
@@ -114,19 +119,7 @@ class Poly:
 
     def mul(self, other: "Poly") -> "Poly":
         self.field.check_same(other.field)
-        acc = {}
-        add, mul, zero = self.field.add, self.field.mul, self.field.zero
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = m1 * m2
-                v = add(acc.get(m, zero), mul(c1, c2))
-                if v:
-                    acc[m] = v
-                else:
-                    acc.pop(m, None)
-        out = Poly(self.field)
-        out.terms = acc
-        return out
+        return product_of_terms(self.field, self.terms.items(), other.terms.items())
 
     def monic(self) -> "Poly":
         if self.is_zero:
@@ -168,6 +161,23 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self})"
+
+
+def product_of_terms(field: Field, left, right) -> Poly:
+    """Product of two sums given as (monomial, coefficient) pairs."""
+    acc = {}
+    add, mul, zero = field.add, field.mul, field.zero
+    for m1, c1 in left:
+        for m2, c2 in right:
+            m = m1 * m2
+            v = add(acc.get(m, zero), mul(c1, c2))
+            if v:
+                acc[m] = v
+            else:
+                acc.pop(m, None)
+    out = Poly(field)
+    out.terms = acc
+    return out
 
 
 def format_terms(field: Field, pairs) -> str:

@@ -14,9 +14,17 @@ from __future__ import annotations
 import json
 import random
 
-from .errors import BadElement, NotMultilinear
+from .errors import BadAlgebra, BadElement, NotMultilinear
 from .scalars import Field
 from .terms import Leaf, NAPolynomial, Node, term_leaves
+
+
+def _json_int(raw) -> int:
+    """An integer from a JSON value; strings and numbers are accepted."""
+    try:
+        return int(raw)
+    except TypeError:
+        raise BadAlgebra(f"expected an integer in the algebra JSON, got {raw!r}") from None
 
 
 class StructureAlgebra:
@@ -104,17 +112,27 @@ class StructureAlgebra:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "StructureAlgebra":
-        dim = int(obj["dim"])
+        if not isinstance(obj, dict):
+            raise BadAlgebra("algebra JSON must be an object")
+        for key in ("dim", "field"):
+            if key not in obj:
+                raise BadAlgebra(f"algebra JSON lacks the key {key!r}")
+        rows = obj.get("table", [])
+        if not isinstance(rows, list):
+            raise BadAlgebra('algebra JSON "table" must be a list')
+        dim = _json_int(obj["dim"])
         field = Field.parse(str(obj["field"]))
 
         def scalar(raw):
             if isinstance(raw, str):
                 return field.parse_scalar(raw)
-            return field.from_int(int(raw))
+            return field.from_int(_json_int(raw))
 
         table = {}
-        for row in obj.get("table", []):
-            i, j, coeffs = int(row[0]), int(row[1]), [scalar(c) for c in row[2]]
+        for row in rows:
+            if not (isinstance(row, list) and len(row) == 3 and isinstance(row[2], list)):
+                raise BadAlgebra(f"table row {row!r} is not [i, j, [coefficients]]")
+            i, j, coeffs = _json_int(row[0]), _json_int(row[1]), [scalar(c) for c in row[2]]
             table[(i, j)] = coeffs
         return cls(dim, field, table)
 

@@ -24,7 +24,7 @@ from bicomm.polynomials import Poly
 from bicomm.terms import Leaf, Node, parse_expression
 from conftest import QQ, F2, F3, element, quad_element, random_element, random_quad_element
 
-random.seed(3571)
+SEED = 3571
 
 
 def _shapes(n, start=1):
@@ -71,20 +71,22 @@ def test_product_rule_examples():
 
 def test_defining_identities_on_random_elements():
     """Left and right commutativity hold for arbitrary elements."""
+    rng = random.Random(SEED)
     for field in (QQ, F2, F3):
         for _ in range(60):
-            a = random_element(random, field)
-            b = random_element(random, field)
-            c = random_element(random, field)
+            a = random_element(rng, field)
+            b = random_element(rng, field)
+            c = random_element(rng, field)
             assert a * (b * c) == b * (a * c)
             assert (a * b) * c == (a * c) * b
 
 
 def test_square_is_commutative_and_associative():
+    rng = random.Random(SEED)
     for _ in range(40):
-        a = random_quad_element(random, QQ)
-        b = random_quad_element(random, QQ)
-        c = random_quad_element(random, QQ)
+        a = random_quad_element(rng, QQ)
+        b = random_quad_element(rng, QQ)
+        c = random_quad_element(rng, QQ)
         assert a * b == b * a
         assert (a * b) * c == a * (b * c)
 
@@ -168,12 +170,13 @@ def test_vector_space_operations():
 
 
 def test_t_and_s_polynomials():
+    rng = random.Random(SEED)
     e = element(QQ, lin={2: 3}, quad=[("y1*z1", 1)])
     assert e.t_poly() == Poly(QQ, {pm("y2"): QQ.from_int(3), pm("y1*z1"): QQ.one})
     assert e.s_poly() == Poly(QQ, {pm("z2"): QQ.from_int(3), pm("y1*z1"): QQ.one})
     # the product of any two elements only sees t of the left and s of the right
-    f = random_element(random, QQ)
-    g = random_element(random, QQ)
+    f = random_element(rng, QQ)
+    g = random_element(rng, QQ)
     assert (f * g).quad == f.t_poly().mul(g.s_poly())
 
 

@@ -162,6 +162,23 @@ def test_exit_codes_for_errors(tmp_path, capsys):
     assert run(capsys, "ideal-member", "--gens", str(tmp_path / "nope.txt"), "--elem", "x1")[0] == 3
     code, _, err = run(capsys, "normalize", "x1*x2*x3")
     assert "column" in err
+    # malformed algebra files exit with code 3 and an error line, not a traceback
+    bad_algebras = [
+        {"dim": 2, "table": []},
+        {"field": "q", "table": []},
+        [2, "q"],
+        {"dim": 2, "field": "q", "table": [[0, 1]]},
+        {"dim": 2, "field": "q", "table": [[0, 1, 1]]},
+        {"dim": 2, "field": "q", "table": [[None, 1, [1, 0]]]},
+    ]
+    for k, obj in enumerate(bad_algebras):
+        path = tmp_path / f"bad{k}.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run(
+            capsys, "check-identity", "--algebra", str(path), "--identity", "(x1*x2) - (x2*x1)"
+        )
+        assert (code, out) == (3, ""), obj
+        assert err.startswith("error: "), obj
 
 
 def test_thread_cap_env(monkeypatch, capsys):

@@ -25,7 +25,16 @@ from bicomm.monomials import Monomial, parse_monomial
 from bicomm.orders import weight_key
 from bicomm.polynomials import Poly
 
-from conftest import QQ, F2, F5, element, quad_element, random_mixed_monomial, random_scalar
+from conftest import (
+    QQ,
+    F2,
+    F5,
+    element,
+    quad_element,
+    random_element,
+    random_mixed_monomial,
+    random_scalar,
+)
 
 
 def _poly(field, *pairs):
@@ -371,3 +380,168 @@ def test_presentation_reuses_cached_data():
     wider = pres.data_for_range(3)
     assert wider is not first
     assert isinstance(first[0], GroebnerBasis)
+
+
+def _random_ideal_pieces(rng, field):
+    old = [_random_poly(rng, field, terms=2, max_degree=3) for _ in range(3)]
+    new = [_random_poly(rng, field, terms=2, max_degree=3) for _ in range(2)]
+    return [p for p in old if not p.is_zero], [p for p in new if not p.is_zero]
+
+
+def test_incremental_buchberger_equals_from_scratch():
+    rng = random.Random(409)
+    for field in (QQ, F5):
+        for _ in range(12):
+            old, new = _random_ideal_pieces(rng, field)
+            start = buchberger(old, field)
+            assert buchberger(new, field, start=start) == buchberger(old + new, field)
+            assert buchberger([], field, start=start) == start
+            assert buchberger([], start=start) == start
+            # elements of the ideal leave the basis as it is
+            inside = [g.mul_monomial(random_mixed_monomial(rng, max_index=2, max_degree=2))
+                      for g in start.generators[:2]]
+            inside.append(old[0].scale(field.from_int(3)) if old else Poly(field, {}))
+            assert buchberger(inside, field, start=start) == start
+
+
+def _certificate(res):
+    return res.member, res.mu, res.span, res.cofactors
+
+
+def test_extended_presentation_matches_a_fresh_one():
+    rng = random.Random(410)
+    for field in (QQ, F5):
+        for trial in range(6):
+            old = [
+                element(field, lin={1: 1}, quad=[(str(random_mixed_monomial(rng, 2, 3)), 1)]),
+                element(field, lin={1: 2, 2: 1} if trial % 2 else None,
+                        quad=[(str(random_mixed_monomial(rng, 2, 3)), 1)]),
+            ]
+            # every other trial, the new generator raises the variable range
+            top = 3 if trial % 2 else 2
+            new = [element(field, lin={top: 1} if trial % 3 == 0 else None,
+                           quad=[(str(random_mixed_monomial(rng, top, 3)), -1)])]
+            pres = TwoSidedPresentation(old)
+            for d in (2, 3, 4):
+                pres.data_for_range(d)  # cached ranges become the extension's starts
+            grown = pres.extended(new)
+            fresh = TwoSidedPresentation(old + new)
+            queries = [_random_member(rng, old + new, depth=2) for _ in range(3)]
+            queries += [quad_element(field, (str(random_mixed_monomial(rng, 4, 4)), 1))
+                        for _ in range(2)]
+            for f in queries:
+                assert _certificate(two_sided_member(f, grown)) == _certificate(
+                    two_sided_member(f, fresh)
+                ), str(f)
+            for d in (top, 4):
+                assert grown.data_for_range(d)[0] == fresh.data_for_range(d)[0]
+
+
+def test_extended_one_sided_presentation_matches_a_fresh_one():
+    rng = random.Random(411)
+    for field in (QQ, F5):
+        for side in ("left", "right"):
+            old = [quad_element(field, (str(random_mixed_monomial(rng, 2, 3)), 1)) for _ in range(2)]
+            new = [quad_element(field, (str(random_mixed_monomial(rng, 3, 3)), 2))]
+            pres = TwoSidedPresentation(old, side=side)
+            pres.data_for_range(3)
+            grown = pres.extended(new)
+            member = left_ideal_member if side == "left" else right_ideal_member
+            queries = [_random_member(rng, old + new, depth=2) for _ in range(2)]
+            queries += [BicommElement.from_quad(g.quad.mul_monomial(random_mixed_monomial(rng, 3, 2)))
+                        for g in new]
+            for f in queries:
+                got = member(f, grown)
+                assert _certificate(got) == _certificate(member(f, old + new)), (side, str(f))
+            with pytest.raises(ValueError):
+                two_sided_member(old[0], grown)
+
+
+def _chain_reference(steps, mode):
+    """Stabilization index by a from-scratch membership test against every
+    previous step, with the exception type in place of an index when the
+    test raises."""
+    member = {"two": two_sided_member, "left": left_ideal_member, "right": right_ideal_member}[mode]
+    last = 0
+    prev = []
+    try:
+        for idx, step in enumerate(steps, 1):
+            new = [g for g in step if g not in prev]
+            if idx == 1:
+                grew = any(not g.is_zero for g in new)
+            else:
+                grew = any(not member(g, prev) for g in new)
+            if grew:
+                last = idx
+            prev = step
+    except UnsupportedGenerator as e:
+        return type(e)
+    if last == 0:
+        return 1
+    return None if last == len(steps) else last
+
+
+def test_chain_stabilization_matches_a_from_scratch_reference():
+    # generators drawn like criterion 04, smaller: degree <= 4, indices <= 2,
+    # about half with a linear part; the chain adds a member of the ideal
+    # (kept presentation), a free generator (extended presentation), and
+    # another member
+    x = [BicommElement.generator(QQ, i) for i in (1, 2)]
+    for mode in ("two", "left", "right"):
+        for seed in range(1000, 1012):
+            rng = random.Random(seed)
+            linear = mode == "two" or seed % 3 == 0
+            a, b, c = (
+                random_element(rng, QQ, max_index=2, max_degree=4, terms=2, linear=linear)
+                for _ in range(3)
+            )
+
+            def sample(g):
+                xi = rng.choice(x)
+                left = mode == "left" or (mode == "two" and rng.random() < 0.5)
+                return xi.multiply(g) if left else g.multiply(xi)
+
+            order = [a, b, sample(a), c, sample(b)]
+            steps = [order[: k + 1] for k in range(len(order))]
+            want = _chain_reference(steps, mode)
+            try:
+                got = chain_stabilization(steps, mode=mode)
+            except UnsupportedGenerator as e:
+                got = type(e)
+            assert got == want, (mode, seed)
+
+
+def _to_sympy(p, ys, zs):
+    import sympy
+
+    expr = sympy.Integer(0)
+    for m, c in p.terms.items():
+        term = sympy.Rational(c.numerator, c.denominator) if p.field.is_rationals else sympy.Integer(c)
+        for i, e in m.ys:
+            term *= ys[i - 1] ** e
+        for i, e in m.zs:
+            term *= zs[i - 1] ** e
+        expr += term
+    return expr
+
+
+def test_buchberger_matches_sympy_lex_bases():
+    """The weight order is lex with y_N > ... > y_1 > z_N > ... > z_1, so
+    sympy's reduced lex basis must be the same set of monic polynomials."""
+    sympy = pytest.importorskip("sympy")
+    n = 2
+    ys = sympy.symbols(f"y1:{n + 1}")
+    zs = sympy.symbols(f"z1:{n + 1}")
+    order = list(reversed(ys)) + list(reversed(zs))
+    rng = random.Random(412)
+    for field, domain in ((QQ, sympy.QQ), (F5, sympy.GF(5))):
+        for _ in range(12):
+            gens = [_random_poly(rng, field, terms=2, max_index=n, max_degree=3) for _ in range(3)]
+            gens = [g for g in gens if not g.is_zero]
+            if not gens:
+                continue
+            ours = {sympy.Poly(_to_sympy(g, ys, zs), *order, domain=domain)
+                    for g in buchberger(gens, field)}
+            theirs = sympy.groebner([_to_sympy(g, ys, zs) for g in gens], *order,
+                                    order="lex", domain=domain)
+            assert ours == {sympy.Poly(g, *order, domain=domain).monic() for g in theirs.exprs}

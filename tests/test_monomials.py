@@ -7,12 +7,12 @@ import pytest
 from bicomm.errors import InvalidIndexMap, ParseError
 from bicomm.monomials import Monomial, parse_monomial
 
-random.seed(1009)
+SEED = 1009
 
 
-def _random_monomial(max_index=4, max_exp=3):
-    ys = {i: random.randint(0, max_exp) for i in range(1, max_index + 1)}
-    zs = {i: random.randint(0, max_exp) for i in range(1, max_index + 1)}
+def _random_monomial(rng, max_index=4, max_exp=3):
+    ys = {i: rng.randint(0, max_exp) for i in range(1, max_index + 1)}
+    zs = {i: rng.randint(0, max_exp) for i in range(1, max_index + 1)}
     return Monomial(ys.items(), zs.items())
 
 
@@ -48,9 +48,10 @@ def test_parse_errors():
 
 def test_mul_div_lcm_against_dict_oracle():
     """Compare the tuple implementation with plain dict arithmetic."""
+    rng = random.Random(SEED)
     for _ in range(300):
-        a = _random_monomial()
-        b = _random_monomial()
+        a = _random_monomial(rng)
+        b = _random_monomial(rng)
         prod = a * b
         for fam in ("ys", "zs"):
             got = dict(getattr(prod, fam))

@@ -7,7 +7,7 @@ from bicomm.orders import weight_key
 from bicomm.polynomials import Poly
 from bicomm.scalars import Field
 
-random.seed(77)
+SEED = 77
 
 QQ = Field.rationals()
 F5 = Field.prime(5)
@@ -25,13 +25,13 @@ def _poly(field, *pairs):
     return Poly(field, acc)
 
 
-def _random_poly(field, terms=4, max_index=3, max_exp=2):
+def _random_poly(rng, field, terms=4, max_index=3, max_exp=2):
     acc = {}
-    for _ in range(random.randint(0, terms)):
-        ys = {i: random.randint(0, max_exp) for i in range(1, max_index + 1)}
-        zs = {i: random.randint(0, max_exp) for i in range(1, max_index + 1)}
+    for _ in range(rng.randint(0, terms)):
+        ys = {i: rng.randint(0, max_exp) for i in range(1, max_index + 1)}
+        zs = {i: rng.randint(0, max_exp) for i in range(1, max_index + 1)}
         m = Monomial(ys.items(), zs.items())
-        c = field.from_int(random.randint(-3, 3))
+        c = field.from_int(rng.randint(-3, 3))
         v = field.add(acc.get(m, field.zero), c)
         if v:
             acc[m] = v
@@ -48,9 +48,10 @@ def test_zero_and_construction():
 
 
 def test_ring_axioms_random():
+    rng = random.Random(SEED)
     for field in (QQ, F5):
         for _ in range(60):
-            a, b, c = (_random_poly(field) for _ in range(3))
+            a, b, c = (_random_poly(rng, field) for _ in range(3))
             assert a.add(b) == b.add(a)
             assert a.mul(b) == b.mul(a)
             assert a.mul(b.add(c)) == a.mul(b).add(a.mul(c))
@@ -60,9 +61,10 @@ def test_ring_axioms_random():
 
 
 def test_mul_matches_term_by_term_oracle():
+    rng = random.Random(SEED)
     for _ in range(50):
-        a = _random_poly(QQ)
-        b = _random_poly(QQ)
+        a = _random_poly(rng, QQ)
+        b = _random_poly(rng, QQ)
         want = {}
         for m1, c1 in a.terms.items():
             for m2, c2 in b.terms.items():

@@ -8,7 +8,7 @@ import pytest
 from bicomm.errors import DivisionByZero, FieldMismatch, InvalidField
 from bicomm.scalars import Field
 
-random.seed(421)
+SEED = 421
 
 
 def test_parse_field_specs():
@@ -51,12 +51,13 @@ def test_prime_field_inverse_brute_force():
 
 def test_field_ops_random_consistency():
     """Field axioms on random samples for both kinds of field."""
+    rng = random.Random(SEED)
     fields = [Field.rationals(), Field.prime(5), Field.prime(13)]
     for f in fields:
         for _ in range(200):
-            a = f.from_int(random.randint(-20, 20))
-            b = f.from_int(random.randint(-20, 20))
-            c = f.from_int(random.randint(-20, 20))
+            a = f.from_int(rng.randint(-20, 20))
+            b = f.from_int(rng.randint(-20, 20))
+            c = f.from_int(rng.randint(-20, 20))
             assert f.add(a, b) == f.add(b, a)
             assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
             assert f.sub(a, b) == f.add(a, f.neg(b))
