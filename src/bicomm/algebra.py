@@ -19,10 +19,11 @@ by y_i and z_j.
 
 from __future__ import annotations
 
+import itertools
 from math import comb
 
-from .errors import BadElement, FieldMismatch, InvalidIndexMap
-from .monomials import Monomial
+from .errors import BadElement, FieldMismatch
+from .monomials import Monomial, check_index_map
 from .polynomials import Poly, format_terms, product_of_terms
 from .scalars import Field
 from .terms import Leaf, NAPolynomial, NATerm
@@ -136,18 +137,10 @@ class BicommElement:
         return self.multiply(other)
 
     def apply_index_map(self, phi: dict) -> "BicommElement":
-        items = sorted(phi.items())
-        for (i1, j1), (i2, j2) in zip(items, items[1:]):
-            if j1 >= j2:
-                raise InvalidIndexMap(
-                    f"map not strictly increasing at {i1}->{j1}, {i2}->{j2}"
-                )
-        lin = {}
-        for i, c in self.lin.items():
-            if i not in phi:
-                raise InvalidIndexMap(f"index {i} not in the domain of the map")
-            lin[phi[i]] = c
-        return BicommElement(self.field, lin, self.quad.apply_index_map(phi))
+        quad_indices = (i for m in self.quad.terms for i in m.indices())
+        check_index_map(phi, itertools.chain(self.lin, quad_indices))
+        lin = {phi[i]: c for i, c in self.lin.items()}
+        return BicommElement(self.field, lin, self.quad._relabeled(phi))
 
     def homogeneous_component(self, n: int) -> "BicommElement":
         """Part of total degree n."""

@@ -218,10 +218,10 @@ def buchberger(gens, field: Field | None = None, start: GroebnerBasis | None = N
             lcm = lead[i2].lcm(lead[k])
             heapq.heappush(pairs, (weight_key(lcm), i2, k, lcm))
 
-    return GroebnerBasis(field, _reduce_basis(basis, field))
+    return GroebnerBasis(field, _reduce_basis(basis))
 
 
-def _reduce_basis(basis, field):
+def _reduce_basis(basis):
     kept = []
     for i, g in enumerate(basis):
         lm = g.leading()[0]
@@ -235,20 +235,10 @@ def _reduce_basis(basis, field):
                 break
         if not redundant:
             kept.append(g)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(kept)):
-            others = kept[:i] + kept[i + 1 :]
-            r = poly_normal_form(kept[i], others)
-            if r != kept[i]:
-                changed = True
-                if r.is_zero:
-                    kept.pop(i)
-                else:
-                    kept[i] = _primitive(r, field)
-                break
-    kept = [g.monic() for g in kept]
+    # leading monomials of a minimal basis are unchanged by tail
+    # reduction, so one pass leaves every element reduced
+    for i in range(len(kept)):
+        kept[i] = poly_normal_form(kept[i], kept[:i] + kept[i + 1 :]).monic()
     kept.sort(key=lambda g: weight_key(g.leading()[0]))
     return kept
 

@@ -61,6 +61,18 @@ def _dominated(small: tuple, big: tuple) -> bool:
     return True
 
 
+def check_index_map(phi: dict, indices) -> None:
+    """Raise InvalidIndexMap unless phi is strictly increasing and defined
+    on every index of the iterable indices."""
+    items = sorted(phi.items())
+    for (i1, j1), (i2, j2) in zip(items, items[1:]):
+        if j1 >= j2:
+            raise InvalidIndexMap(f"map not strictly increasing at {i1}->{j1}, {i2}->{j2}")
+    for i in indices:
+        if i not in phi:
+            raise InvalidIndexMap(f"index {i} not in the domain of the map")
+
+
 class Monomial:
     __slots__ = ("ys", "zs", "_hash", "_wkey", "_mask")
 
@@ -149,13 +161,11 @@ class Monomial:
 
     def apply_index_map(self, phi: dict) -> "Monomial":
         """Rename indices through phi, which must be strictly increasing."""
-        items = sorted(phi.items())
-        for (i1, j1), (i2, j2) in zip(items, items[1:]):
-            if j1 >= j2:
-                raise InvalidIndexMap(f"map not strictly increasing at {i1}->{j1}, {i2}->{j2}")
-        for i in self.indices():
-            if i not in phi:
-                raise InvalidIndexMap(f"index {i} not in the domain of the map")
+        check_index_map(phi, self.indices())
+        return self._relabeled(phi)
+
+    def _relabeled(self, phi: dict) -> "Monomial":
+        """apply_index_map for a phi already checked on these indices."""
         return Monomial(
             ((phi[i], e) for i, e in self.ys),
             ((phi[i], e) for i, e in self.zs),

@@ -95,14 +95,9 @@ def higman_relation(a: Monomial, b: Monomial) -> str:
     """Classify a pair as EQ, LEQ, GEQ, or INCOMPARABLE."""
     if a == b:
         return "EQ"
-    ab = higman_leq(a, b)
-    ba = higman_leq(b, a)
-    if ab and ba:
-        # cannot happen for distinct canonical monomials, kept as a guard
-        return "EQ"
-    if ab:
+    if higman_leq(a, b):
         return "LEQ"
-    if ba:
+    if higman_leq(b, a):
         return "GEQ"
     return "INCOMPARABLE"
 

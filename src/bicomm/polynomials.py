@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .monomials import ONE, Monomial
+from .monomials import ONE, Monomial, check_index_map
 from .orders import weight_key
 from .scalars import Field
 
@@ -38,6 +38,9 @@ class Poly:
     @property
     def is_zero(self) -> bool:
         return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
 
     @property
     def is_mixed_only(self) -> bool:
@@ -128,10 +131,15 @@ class Poly:
         return self.scale(self.field.inv(c))
 
     def apply_index_map(self, phi: dict) -> "Poly":
+        check_index_map(phi, (i for m in self.terms for i in m.indices()))
+        return self._relabeled(phi)
+
+    def _relabeled(self, phi: dict) -> "Poly":
+        """apply_index_map for a phi already checked on these indices."""
         acc = {}
         add, zero = self.field.add, self.field.zero
         for m, c in self.terms.items():
-            mm = m.apply_index_map(phi)
+            mm = m._relabeled(phi)
             v = add(acc.get(mm, zero), c)
             if v:
                 acc[mm] = v

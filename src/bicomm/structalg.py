@@ -2,19 +2,27 @@
 
 An algebra of dimension n over a field is stored as a sparse table of
 basis products e_i * e_j = sum_k c[k] e_k; absent (i, j) entries mean the
-product is zero.  Elements are sparse coordinate dicts index -> scalar.
+product is zero.  Elements are sparse coordinate dicts index -> coordinate.
+A coordinate is a field scalar, or, in the symbolic identity check, a
+generic coordinate: a `Poly` in indeterminates y_n, one per pair of an
+argument and a basis vector.  A single product loop over the table
+serves both kinds and takes the coordinate arithmetic from its caller.
+
 Identity checking evaluates non-associative polynomials either on all
 basis tuples (complete for multilinear identities), with generic
-coefficient indeterminates (complete for arbitrary scalar extensions), or
-on random sample tuples (sound for failures only).
+coordinates (complete for arbitrary scalar extensions), or on random
+sample tuples (sound for failures only).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 
 from .errors import BadAlgebra, BadElement, NotMultilinear
+from .monomials import Monomial
+from .polynomials import Poly
 from .scalars import Field
 from .terms import Leaf, NAPolynomial, Node, term_leaves
 
@@ -68,23 +76,7 @@ class StructureAlgebra:
         return out
 
     def product(self, u: dict, v: dict) -> dict:
-        f = self.field
-        acc = {}
-        for i, a in u.items():
-            for j, b in v.items():
-                coeffs = self.table.get((i, j))
-                if coeffs is None:
-                    continue
-                ab = f.mul(a, b)
-                for k, c in enumerate(coeffs):
-                    if not c:
-                        continue
-                    w = f.add(acc.get(k, f.zero), f.mul(ab, c))
-                    if w:
-                        acc[k] = w
-                    else:
-                        acc.pop(k, None)
-        return acc
+        return _product(self.table, _scalar_ops(self.field), u, v)
 
     def to_json_obj(self) -> dict:
         rows = []
@@ -175,83 +167,32 @@ def witt_truncated(n: int, field: Field) -> StructureAlgebra:
 # --- evaluation -------------------------------------------------------------
 
 
-class _FieldRing:
-    """Plain field coordinates."""
-
-    def __init__(self, field: Field):
-        self.field = field
-        self.zero = field.zero
-
-    def add(self, a, b):
-        return self.field.add(a, b)
-
-    def mul(self, a, b):
-        return self.field.mul(a, b)
-
-    def scale(self, c, a):
-        return self.field.mul(c, a)
+def _scalar_ops(field: Field) -> tuple:
+    """(add, mul, scale) for coordinates that are field scalars."""
+    return field.add, field.mul, field.mul
 
 
-class _GenericRing:
-    """Coordinates that are polynomials in indeterminates a_{k,i}.
-
-    A value is a dict mapping a sorted tuple of ((k, i), exponent) pairs
-    to a nonzero field scalar; the empty dict is zero.
-    """
-
-    def __init__(self, field: Field):
-        self.field = field
-        self.zero = {}
-
-    def variable(self, k, i):
-        return {(((k, i), 1),): self.field.one}
-
-    def add(self, a, b):
-        out = dict(a)
-        for key, c in b.items():
-            v = self.field.add(out.get(key, self.field.zero), c)
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
-        return out
-
-    def mul(self, a, b):
-        out = {}
-        for k1, c1 in a.items():
-            for k2, c2 in b.items():
-                merged = dict(k1)
-                for var, e in k2:
-                    merged[var] = merged.get(var, 0) + e
-                key = tuple(sorted(merged.items()))
-                v = self.field.add(out.get(key, self.field.zero), self.field.mul(c1, c2))
-                if v:
-                    out[key] = v
-                else:
-                    out.pop(key, None)
-        return out
-
-    def scale(self, c, a):
-        out = {}
-        for key, v in a.items():
-            w = self.field.mul(c, v)
-            if w:
-                out[key] = w
-        return out
+# (add, mul, scale) for generic coordinates, polynomials in indeterminates
+_POLY_OPS = (Poly.add, Poly.mul, lambda c, p: p.scale(c))
 
 
-def _ring_product(alg: StructureAlgebra, ring, u: dict, v: dict) -> dict:
+def _product(table: dict, ops: tuple, u: dict, v: dict) -> dict:
+    """Product of two coordinate dicts through the structure table, with
+    the coordinate arithmetic ops = (add, mul, scale)."""
+    add, mul, scale = ops
     acc = {}
     for i, a in u.items():
         for j, b in v.items():
-            coeffs = alg.table.get((i, j))
+            coeffs = table.get((i, j))
             if coeffs is None:
                 continue
-            ab = ring.mul(a, b)
+            ab = mul(a, b)
             for k, c in enumerate(coeffs):
                 if not c:
                     continue
-                w = ring.add(acc.get(k, ring.zero), ring.scale(c, ab))
+                w = scale(c, ab)
+                if k in acc:
+                    w = add(acc[k], w)
                 if w:
                     acc[k] = w
                 else:
@@ -259,23 +200,27 @@ def _ring_product(alg: StructureAlgebra, ring, u: dict, v: dict) -> dict:
     return acc
 
 
-def _eval_tree(t, args: dict, alg: StructureAlgebra, ring) -> dict:
+def _eval_tree(t, args: dict, alg: StructureAlgebra, ops: tuple) -> dict:
     if isinstance(t, Leaf):
         got = args.get(t.index)
         if got is None:
             raise BadElement(f"no argument supplied for x{t.index}")
         return got
-    left = _eval_tree(t.left, args, alg, ring)
-    right = _eval_tree(t.right, args, alg, ring)
-    return _ring_product(alg, ring, left, right)
+    left = _eval_tree(t.left, args, alg, ops)
+    right = _eval_tree(t.right, args, alg, ops)
+    return _product(alg.table, ops, left, right)
 
 
-def _eval_poly(f: NAPolynomial, args: dict, alg: StructureAlgebra, ring) -> dict:
+def _eval_poly(terms: list, args: dict, alg: StructureAlgebra, ops: tuple) -> dict:
+    """Value of a polynomial, given as its (tree, scalar) terms, at one
+    argument tuple."""
+    add, _, scale = ops
     acc = {}
-    for t, c in f.sorted_terms():
-        val = _eval_tree(t, args, alg, ring)
-        for k, v in val.items():
-            w = ring.add(acc.get(k, ring.zero), ring.scale(c, v))
+    for t, c in terms:
+        for k, v in _eval_tree(t, args, alg, ops).items():
+            w = scale(c, v)
+            if k in acc:
+                w = add(acc[k], w)
             if w:
                 acc[k] = w
             else:
@@ -294,8 +239,7 @@ def evaluate_polynomial(f: NAPolynomial, args, alg: StructureAlgebra) -> dict:
         supplied = {int(k): alg.check_element(v) for k, v in args.items()}
     else:
         supplied = {r + 1: alg.check_element(v) for r, v in enumerate(args)}
-    ring = _FieldRing(alg.field)
-    return _eval_poly(f, supplied, alg, ring)
+    return _eval_poly(f.sorted_terms(), supplied, alg, _scalar_ops(alg.field))
 
 
 # --- identity checking ------------------------------------------------------
@@ -356,38 +300,32 @@ def check_identity(
     tuples and can only certify failure.
     """
     alg.field.check_same(f.field)
+    terms = f.sorted_terms()
+    ops = _scalar_ops(alg.field)
     if mode == "multilinear":
         variables = _multilinear_variables(f)
         if not variables:
             return CheckResult(f.is_zero, None, mode)
-        ring = _FieldRing(alg.field)
-
-        def tuples(pos, assign):
-            if pos == len(variables):
-                yield dict(assign)
-                return
-            for i in range(alg.dim):
-                assign[variables[pos]] = i
-                yield from tuples(pos + 1, assign)
-
-        for assignment in tuples(0, {}):
-            args = {k: alg.basis_element(i) for k, i in assignment.items()}
-            if _eval_poly(f, args, alg, ring):
-                witness = tuple(assignment[k] for k in variables)
+        for witness in itertools.product(range(alg.dim), repeat=len(variables)):
+            args = {k: alg.basis_element(i) for k, i in zip(variables, witness)}
+            if _eval_poly(terms, args, alg, ops):
                 return CheckResult(False, witness, mode)
         return CheckResult(True, None, mode)
+    variables = sorted(f.variables())
     if mode == "symbolic":
-        ring = _GenericRing(alg.field)
-        variables = sorted({v for t in f.terms for v in term_leaves(t)})
+        # the coordinate of e_i in the pos-th variable is the indeterminate
+        # y_n, n = pos * dim + i + 1
         args = {
-            k: {i: ring.variable(k, i) for i in range(alg.dim)} for k in variables
+            k: {
+                i: Poly.monomial(alg.field, Monomial([(pos * alg.dim + i + 1, 1)]))
+                for i in range(alg.dim)
+            }
+            for pos, k in enumerate(variables)
         }
-        value = _eval_poly(f, args, alg, ring)
+        value = _eval_poly(terms, args, alg, _POLY_OPS)
         return CheckResult(not value, None, mode)
     if mode == "sample":
         rng = random.Random(seed)
-        variables = sorted({v for t in f.terms for v in term_leaves(t)})
-        ring = _FieldRing(alg.field)
         for _ in range(samples):
             args = {}
             for k in variables:
@@ -400,7 +338,7 @@ def check_identity(
                     if c:
                         coords[i] = c
                 args[k] = coords
-            if _eval_poly(f, args, alg, ring):
+            if _eval_poly(terms, args, alg, ops):
                 witness = tuple(args[k] for k in variables)
                 return CheckResult(False, witness, mode)
         return CheckResult(True, None, mode)

@@ -313,17 +313,3 @@ def parse_expression(text: str, field: Field) -> NAPolynomial:
     if tok is not None:
         parser.fail(f"unexpected trailing input {tok.text!r}")
     return poly
-
-
-def parse_lines(text: str, field: Field) -> list:
-    """Parse a batch: one polynomial per non-blank, non-comment line."""
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0]
-        if not body.strip():
-            continue
-        try:
-            out.append(parse_expression(body, field))
-        except ParseError as exc:
-            raise ParseError(f"line {lineno}: {exc}", lineno, getattr(exc, "column", 1))
-    return out

@@ -578,7 +578,13 @@ def specht_basis_search(gens, window: ClosureWindow) -> SpechtSearchResult:
     every spanning element reduces to zero, which together force every
     element of the bounded span to reduce to zero.
     """
-    gens = [g for g in gens if not g.is_zero]
+    # relabel each generator onto x1..xk; a strictly increasing map keeps
+    # the T-ideal, and lets the kept weights embed into the closure pivots
+    gens = [
+        g.apply_index_map({i: n for n, i in enumerate(sorted(g.indices()), 1)})
+        for g in gens
+        if not g.is_zero
+    ]
     if not gens:
         return SpechtSearchResult([], [], True)
     field = gens[0].field
@@ -644,9 +650,8 @@ def char_zero_two_variable_heuristic(gens, window: ClosureWindow | None = None) 
             candidates.append(c)
         for c in candidates:
             if reference is None:
-                reference = _closure_table(_BoundedClosure([g], window), window)
-            table = _closure_table(_BoundedClosure([c], window), window)
-            if table == reference:
+                reference = t_ideal_closure_bounded([g], window).buckets
+            if t_ideal_closure_bounded([c], window).buckets == reference:
                 found = c
                 break
         out.append(found if found is not None else g)
@@ -664,13 +669,3 @@ def _iter_assignments(n):
             acc.pop()
 
     yield from rec([])
-
-
-def _closure_table(closure: _BoundedClosure, window: ClosureWindow):
-    table = {}
-    for mu in _iter_multidegrees(window.max_variables, window.max_degree):
-        if sum(mu.values()) == 1:
-            table[_multidegree_key(mu)] = closure.any_linear
-        else:
-            table[_multidegree_key(mu)] = tuple(closure.bucket(mu))
-    return table

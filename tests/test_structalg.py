@@ -295,3 +295,87 @@ def test_json_round_trip_and_layout():
     numeric = StructureAlgebra.from_json_obj({"dim": 1, "field": "fp:5", "table": [[0, 0, [3]]]})
     textual = StructureAlgebra.from_json_obj({"dim": 1, "field": "fp:5", "table": [[0, 0, ["3"]]]})
     assert numeric == textual
+
+
+def _random_table_algebra(rng, field, dim):
+    """Seeded random structure constants, about half the products zero."""
+    table = {}
+    for i in range(dim):
+        for j in range(dim):
+            if rng.random() < 0.5:
+                table[(i, j)] = [
+                    random_scalar(rng, field) if rng.random() < 0.4 else field.zero
+                    for _ in range(dim)
+                ]
+    return StructureAlgebra(dim, field, table)
+
+
+def _random_identity(rng, field, multilinear):
+    f = NAPolynomial.zero(field)
+    n = rng.randint(2, 3)
+    for _ in range(rng.randint(1, 3)):
+        if multilinear:
+            leaves = rng.sample(range(1, n + 1), n)
+        else:
+            leaves = [rng.randint(1, 2) for _ in range(rng.randint(1, 3))]
+        term = NAPolynomial.term(field, _random_tree(rng, leaves))
+        f = f.add_scaled(random_scalar(rng, field, nonzero=True), term)
+    return f
+
+
+def _sympy_vanishes(sympy, f, alg):
+    """Whether f expands to zero at generic coordinates, computed with
+    sympy polynomials straight from the structure table."""
+    field = alg.field
+    domain = sympy.QQ if field.is_rationals else sympy.GF(field.characteristic)
+    variables = sorted(f.variables())
+    symbols = {(k, i): sympy.Symbol(f"a{k}_{i}") for k in variables for i in range(alg.dim)}
+    gens = list(symbols.values()) or [sympy.Symbol("unused")]
+
+    def const(c):
+        if field.is_rationals:
+            return sympy.Poly(sympy.Rational(c.numerator, c.denominator), *gens, domain=domain)
+        return sympy.Poly(int(c), *gens, domain=domain)
+
+    def value(t):
+        if isinstance(t, Leaf):
+            return [sympy.Poly(symbols[(t.index, i)], *gens, domain=domain) for i in range(alg.dim)]
+        u, v = value(t.left), value(t.right)
+        out = [const(0)] * alg.dim
+        for (i, j), coeffs in alg.table.items():
+            uv = u[i] * v[j]
+            for k, c in enumerate(coeffs):
+                if c:
+                    out[k] = out[k] + const(c) * uv
+        return out
+
+    total = [const(0)] * alg.dim
+    for t, c in f.terms.items():
+        total = [x + const(c) * y for x, y in zip(total, value(t))]
+    return all(x.is_zero for x in total)
+
+
+def test_symbolic_mode_matches_a_sympy_expansion():
+    """Symbolic verdicts equal "f expands to zero" at generic coordinates,
+    and multilinear identities get the same verdict in both complete modes."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(603)
+    checked = {True: 0, False: 0}
+    for field in (QQ, F2, F3):
+        algebras = [witt_truncated(3, field), witt_truncated(4, field)]
+        algebras.append(_truncated_free_algebra(field, 3)[0])
+        algebras += [_random_table_algebra(rng, field, d) for d in (2, 3, 3)]
+        for alg in algebras:
+            identities = [left_commutativity(field), right_commutativity(field)]
+            identities += [_random_identity(rng, field, rng.random() < 0.5) for _ in range(4)]
+            for f in identities:
+                symbolic = check_identity(f, alg, mode="symbolic")
+                expected = _sympy_vanishes(sympy, f, alg)
+                assert symbolic.holds == expected, (field, alg, str(f))
+                checked[expected] += 1
+                try:
+                    exhaustive = check_identity(f, alg, mode="multilinear")
+                except NotMultilinear:
+                    continue
+                assert exhaustive.holds == symbolic.holds, (field, alg, str(f))
+    assert checked[True] and checked[False]

@@ -314,6 +314,21 @@ def test_specht_basis_search_single_generators():
     assert specht_basis_search([], ClosureWindow(3, 2)).verified
 
 
+def test_specht_basis_search_relabels_generators_onto_x1():
+    # a generator on other variables has the T-ideal of its relabeling
+    # onto x1..xk, so it gets the same verdict and the relabeled basis
+    sq = quad_element(QQ, ("y1*z1", 1))
+    for window in (ClosureWindow(4, 2), ClosureWindow(4, 3)):
+        for i in (2, 3):
+            found = specht_basis_search([quad_element(QQ, (f"y{i}*z{i}", 1))], window)
+            assert found.basis == [sq]
+            assert found.antichain == [parse_monomial("y1*z1")]
+            assert found.verified
+        found = specht_basis_search([_commutator(QQ, 2, 3)], window)
+        assert found.basis == [_commutator(QQ)]
+        assert found.verified
+
+
 def test_specht_basis_search_drops_redundant_generators():
     comm = _commutator(QQ)
     x1 = BicommElement.generator(QQ, 1)
