@@ -65,10 +65,6 @@ class BicommElement:
     def is_zero(self) -> bool:
         return not self.lin and self.quad.is_zero
 
-    @property
-    def has_linear_part(self) -> bool:
-        return bool(self.lin)
-
     def degree(self) -> int:
         if not self.quad.is_zero:
             return self.quad.degree()
@@ -191,10 +187,23 @@ class BicommElement:
 
 
 def normalize_term(t: NATerm, field: Field) -> BicommElement:
-    """Canonical form of a single tree, by folding the product rules."""
-    if isinstance(t, Leaf):
-        return BicommElement.generator(field, t.index)
-    return normalize_term(t.left, field).multiply(normalize_term(t.right, field))
+    """Canonical form of a single tree, by folding the product rules.
+
+    The fold runs on an explicit stack, where a None mark multiplies the
+    last two finished normal forms.
+    """
+    done = []
+    todo = [t]
+    while todo:
+        s = todo.pop()
+        if s is None:
+            right = done.pop()
+            done[-1] = done[-1].multiply(right)
+        elif isinstance(s, Leaf):
+            done.append(BicommElement.generator(field, s.index))
+        else:
+            todo += (None, s.right, s.left)
+    return done[0]
 
 
 def normalize(poly: NAPolynomial) -> BicommElement:

@@ -38,33 +38,61 @@ class Leaf(NATerm):
 
 @dataclass(frozen=True)
 class Node(NATerm):
+    """Product of two terms.  The hash is taken from the children's when the
+    node is built and equality walks an explicit stack, so deep trees never
+    recurse."""
+
     left: NATerm
     right: NATerm
 
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.left, self.right)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if not isinstance(other, Node):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if not (isinstance(a, Node) and isinstance(b, Node)):
+                if a != b:
+                    return False
+            elif a._hash != b._hash:
+                return False
+            else:
+                stack += ((a.right, b.right), (a.left, b.left))
+        return True
+
+
+def _symbols(t: NATerm):
+    """Leaves of t, with '(', '*' and ')' around each product, left to right."""
+    stack = [t]
+    while stack:
+        s = stack.pop()
+        if isinstance(s, Node):
+            stack += (")", s.right, "*", s.left, "(")
+        else:
+            yield s
+
 
 def term_degree(t: NATerm) -> int:
-    if isinstance(t, Leaf):
-        return 1
-    return term_degree(t.left) + term_degree(t.right)
+    return len(term_leaves(t))
 
 
 def term_leaves(t: NATerm) -> list:
     """Leaf indices in left-to-right order."""
-    if isinstance(t, Leaf):
-        return [t.index]
-    return term_leaves(t.left) + term_leaves(t.right)
+    return [s.index for s in _symbols(t) if isinstance(s, Leaf)]
 
 
 def print_term(t: NATerm) -> str:
     """Fully parenthesized rendering, e.g. x1*(x2*x3)."""
-
-    def wrap(s: NATerm) -> str:
-        text = print_term(s)
-        return f"({text})" if isinstance(s, Node) else text
-
-    if isinstance(t, Leaf):
-        return f"x{t.index}"
-    return f"{wrap(t.left)}*{wrap(t.right)}"
+    text = "".join(f"x{s.index}" if isinstance(s, Leaf) else s for s in _symbols(t))
+    return text[1:-1] if isinstance(t, Node) else text  # drop the outermost parentheses
 
 
 class NAPolynomial:
@@ -235,44 +263,74 @@ class _Parser:
             raise ParseError(message + " (at end of input)", line, col)
         raise ParseError(message, tok.line, tok.column)
 
-    def parse_poly(self) -> NAPolynomial:
-        result = NAPolynomial.zero(self.field)
-        sign = self.field.one
+    def at_op(self, ops: str) -> bool:
+        """Whether the next token is one of the operator characters ops."""
         tok = self.peek()
-        if tok and tok.kind == "op" and tok.text in "+-":
-            self.next()
-            if tok.text == "-":
-                sign = self.field.neg(sign)
-        result = result.add(self.parse_term(sign))
-        while True:
-            tok = self.peek()
-            if tok is None or not (tok.kind == "op" and tok.text in "+-"):
-                return result
-            self.next()
-            sign = self.field.one if tok.text == "+" else self.field.neg(self.field.one)
-            result = result.add(self.parse_term(sign))
+        return tok is not None and tok.kind == "op" and tok.text in ops
 
-    def parse_term(self, sign) -> NAPolynomial:
-        coeff = sign
+    def parse_poly(self) -> NAPolynomial:
+        """Parse a poly; each '(' pushes the enclosing poly on a stack.
+
+        A stack entry is (sum so far, coefficient of the open term, its
+        first factor or None).
+        """
+        field = self.field
+        stack = []
+        result, coeff, first = NAPolynomial.zero(field), self.parse_coeff(), None
+        while True:
+            tok = self.next()
+            if tok is None:
+                self.fail("expected a factor")
+            if tok.kind == "op" and tok.text == "(":
+                stack.append((result, coeff, first))
+                result, coeff, first = NAPolynomial.zero(field), self.parse_coeff(), None
+                continue
+            if tok.kind != "xvar":
+                self.fail(f"expected a factor, got {tok.text!r}", tok)
+            index = int(tok.text[1:])
+            if index < 1:
+                raise BadIndex(f"bad generator index in {tok.text!r}", tok.line, tok.column)
+            value = NAPolynomial.term(field, Leaf(index))
+            # value is a complete factor: close terms and polys until
+            # another factor is due
+            while True:
+                if first is None and self.at_op("*"):
+                    self.next()
+                    first = value
+                    break
+                if first is not None:
+                    value = first.mul(value)
+                    if self.at_op("*"):
+                        tok = self.peek()
+                        raise AmbiguousProduct(
+                            "product of three or more factors needs parentheses",
+                            tok.line,
+                            tok.column,
+                        )
+                result = result.add(value.scale(coeff))
+                if self.at_op("+-"):
+                    coeff, first = self.parse_coeff(), None
+                    break
+                if not stack:
+                    return result
+                closing = self.next()
+                if closing is None or closing.kind != "op" or closing.text != ")":
+                    self.fail("expected ')'", closing)
+                value = result
+                result, coeff, first = stack.pop()
+
+    def parse_coeff(self):
+        """The coefficient of a term: [('+' | '-')] [scalar '*']."""
+        coeff = self.field.one
+        if self.at_op("+-") and self.next().text == "-":
+            coeff = self.field.neg(coeff)
         tok = self.peek()
         if tok is not None and tok.kind == "num":
-            coeff = self.field.mul(sign, self.parse_scalar())
+            coeff = self.field.mul(coeff, self.parse_scalar())
             star = self.next()
             if star is None or star.kind != "op" or star.text != "*":
                 self.fail("expected '*' after scalar", star)
-        value = self.parse_factor()
-        tok = self.peek()
-        if tok is not None and tok.kind == "op" and tok.text == "*":
-            self.next()
-            value = value.mul(self.parse_factor())
-            tok = self.peek()
-            if tok is not None and tok.kind == "op" and tok.text == "*":
-                raise AmbiguousProduct(
-                    "product of three or more factors needs parentheses",
-                    tok.line,
-                    tok.column,
-                )
-        return value.scale(coeff)
+        return coeff
 
     def parse_scalar(self):
         num = self.next()
@@ -284,23 +342,6 @@ class _Parser:
                 self.fail("expected digits after '/'", den)
             return self.field.parse_scalar(f"{num.text}/{den.text}")
         return self.field.parse_scalar(num.text)
-
-    def parse_factor(self) -> NAPolynomial:
-        tok = self.next()
-        if tok is None:
-            self.fail("expected a factor")
-        if tok.kind == "xvar":
-            index = int(tok.text[1:])
-            if index < 1:
-                raise BadIndex(f"bad generator index in {tok.text!r}", tok.line, tok.column)
-            return NAPolynomial.term(self.field, Leaf(index))
-        if tok.kind == "op" and tok.text == "(":
-            inner = self.parse_poly()
-            closing = self.next()
-            if closing is None or closing.kind != "op" or closing.text != ")":
-                self.fail("expected ')'", closing)
-            return inner
-        self.fail(f"expected a factor, got {tok.text!r}", tok)
 
 
 def parse_expression(text: str, field: Field) -> NAPolynomial:

@@ -3,11 +3,14 @@
 Two closure notions live here, both bounded by an explicit window.
 
 The full substitution closure (t_ideal_closure_bounded and
-t_ideal_member_bounded) substitutes formal scalar combinations of basis
-monomials for the variables of each generator, collects every
-multihomogeneous component of the expansion, multiplies by monomials,
-and row-reduces per multidegree.  Formal expansion keeps the result
-correct over small fields, where scaling tricks are unavailable.
+t_ideal_member_bounded) substitutes generic combinations
+x_v -> sum_k c_{v,k} b_k of basis monomials b_k for the variables of each
+multihomogeneous generator part and keeps every coefficient of the
+expansion in the c_{v,k}: the full linearization, which stays correct over
+small fields, where scaling tricks are unavailable.  Per multidegree mu
+the expansion is computed truncated, dropping terms whose multidegree
+leaves mu; each coefficient, times every monomial that fills it up to mu,
+is a row, and the rows are reduced per multidegree.
 
 The reduction machinery (lift_weight, specht_reduce,
 specht_basis_search) works with the narrower family obtained from
@@ -20,9 +23,9 @@ what the basis search enumerates and verifies against.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from itertools import combinations
-from math import factorial
+from itertools import combinations, product
 
 from .algebra import BicommElement
 from .errors import (
@@ -124,20 +127,9 @@ def _multidegree_key(mu: dict) -> tuple:
 
 def _iter_multidegrees(nvars: int, max_total: int):
     """All sparse multidegree dicts over variables 1..nvars, total >= 1."""
-
-    def rec(v, remaining, acc):
-        if v > nvars:
-            if acc:
-                yield dict(acc)
-            return
-        for d in range(0, remaining + 1):
-            if d:
-                acc[v] = d
-            yield from rec(v + 1, remaining - d, acc)
-            if d:
-                del acc[v]
-
-    yield from rec(1, max_total, {})
+    for degrees in product(range(max_total + 1), repeat=nvars):
+        if 1 <= sum(degrees) <= max_total:
+            yield {v: d for v, d in enumerate(degrees, 1) if d}
 
 
 def _iter_splits(r: dict, mixed_only: bool = False):
@@ -180,77 +172,46 @@ def _basis_monomial_options(budget: dict):
     return out
 
 
-def _iter_multisets(options, size, budget: dict):
-    """Multisets of option triples whose multidegrees sum within budget.
+def _truncated_mul(field: Field, left: dict, right: dict, bound: tuple, out=None) -> dict:
+    """Product of two truncated expansions, added into out when given.
 
-    Yields (counts, used): counts pairs each chosen option with its
-    multiplicity, used is the consumed multidegree.
+    A truncated expansion is a polynomial in extra indeterminates c whose
+    coefficients are polynomials in Y, Z, grouped by multidegree.  It maps
+    a multidegree, a tuple over the variables 1..len(bound), to a dict
+    from c-monomials, sorted tuples of the indeterminates' labels, to
+    their coefficients, dicts Monomial -> scalar of that multidegree.
+    Products whose multidegree exceeds bound somewhere are dropped.
     """
-
-    def rec(idx, left, remaining, acc):
-        if left == 0:
-            used = {v: budget[v] - remaining.get(v, 0) for v in budget}
-            yield list(acc), {v: d for v, d in used.items() if d}
-            return
-        if idx == len(options):
-            return
-        yield from rec(idx + 1, left, remaining, acc)
-        md = options[idx][0]
-        rem = dict(remaining)
-        for c in range(1, left + 1):
-            if any(rem.get(v, 0) < d for v, d in md.items()):
-                break
-            for v, d in md.items():
-                rem[v] = rem.get(v, 0) - d
-            acc.append((options[idx], c))
-            yield from rec(idx + 1, left - c, dict(rem), acc)
-            acc.pop()
-
-    yield from rec(0, size, dict(budget), [])
-
-
-def _iter_count_splits(counts, alpha):
-    """Ways to split a multiset into a part of size alpha and the rest.
-
-    counts: list of (option, multiplicity).  Yields (coeff, t_factors,
-    s_factors) with coeff the product of the two multinomial repetition
-    factors for the split.
-    """
-    beta = sum(c for _, c in counts) - alpha
-
-    def rec(idx, left, chosen):
-        if idx == len(counts):
-            if left == 0:
-                coeff = factorial(alpha) * factorial(beta)
-                t_factors = []
-                s_factors = []
-                for (opt, n), r in zip(counts, chosen):
-                    coeff //= factorial(r) * factorial(n - r)
-                    if r:
-                        t_factors.append((opt, r))
-                    if n - r:
-                        s_factors.append((opt, n - r))
-                yield coeff, t_factors, s_factors
-            return
-        _, n = counts[idx]
-        for r in range(0, min(n, left) + 1):
-            chosen.append(r)
-            yield from rec(idx + 1, left - r, chosen)
-            chosen.pop()
-
-    if 0 <= alpha <= alpha + beta:
-        yield from rec(0, alpha, [])
-
-
-def _monomial_power(m: Monomial, e: int) -> Monomial:
-    out = Monomial()
-    for _ in range(e):
-        out = out * m
+    if out is None:
+        out = {}
+    add, mul, zero = field.add, field.mul, field.zero
+    for d1, block1 in left.items():
+        for d2, block2 in right.items():
+            d = tuple(map(operator.add, d1, d2))
+            if not all(map(operator.le, d, bound)):
+                continue
+            block = out.setdefault(d, {})
+            for k1, p1 in block1.items():
+                for k2, p2 in block2.items():
+                    key = tuple(sorted(k1 + k2))
+                    terms = block.setdefault(key, {})
+                    for m1, c1 in p1.items():
+                        for m2, c2 in p2.items():
+                            m = m1 * m2
+                            v = add(terms.get(m, zero), mul(c1, c2))
+                            if v:
+                                terms[m] = v
+                            else:
+                                terms.pop(m, None)
     return out
 
 
 class _BoundedClosure:
-    """Bucketed spans of the full bounded substitution closure."""
+    """Bucketed spans of the full bounded substitution closure.
+
+    Each bucket is kept as its Echelon, built on first use, so that
+    membership queries reduce against it instead of rebuilding it.
+    """
 
     def __init__(self, gens, window: ClosureWindow, field: Field | None = None):
         self.window = window
@@ -272,117 +233,100 @@ class _BoundedClosure:
                     self.any_linear = True
                 else:
                     self.components.append((dict(key), part.quad))
-        self._buckets = {}
+        self._echelons = {}
 
     def bucket(self, mu: dict):
-        """Row-reduced span of the quadratic component at multidegree mu."""
-        key = _multidegree_key(mu)
-        if key in self._buckets:
-            return self._buckets[key]
-        mu = dict(key)
-        field = self.field
-        rows: list
-        if field is None:
-            rows = []
-        elif self.any_linear:
-            monos = sorted(_iter_splits(mu, mixed_only=True), key=weight_key)
-            rows = [Poly(field, {m: field.one}) for m in reversed(monos)]
-        else:
-            ech = Echelon(field, sort_key=weight_key)
-            options = _basis_monomial_options(mu)
-            for delta, quad in self.components:
-                if sum(delta.values()) > sum(mu.values()):
-                    continue
-                for elem, used in self._component_patterns(delta, quad, options, mu):
-                    left = {v: mu[v] - used.get(v, 0) for v in mu}
-                    left = {v: d for v, d in left.items() if d}
-                    for mult in _iter_splits(left) if left else [Monomial()]:
-                        ech.insert(dict(elem.mul_monomial(mult).terms))
-            ordered = sorted(ech.rows, key=lambda r: weight_key(r[0]), reverse=True)
-            rows = [Poly(field, vec) for _, vec, _ in ordered]
-        self._buckets[key] = rows
-        return rows
+        """Row-reduced span of the closure at multidegree mu, weight-descending.
 
-    def _component_patterns(self, delta, quad, options, mu):
-        """Substitution patterns for one multihomogeneous generator part.
-
-        Assigns to each variable of the part a multiset of basis
-        monomials; the yielded element is the corresponding coefficient
-        of the formal expansion, already summed over all ways the y- and
-        z-exponents of each generator monomial can distribute over the
-        multiset.
+        With a linear generator this is every mixed monomial of mu.
+        Otherwise each multihomogeneous generator part is expanded under
+        x_v -> sum_k c_{v,k} b_k, the b_k running over the basis monomials
+        below mu, and the expansion is truncated to multidegrees within mu.
+        The coefficient of each c-monomial, times every monomial that fills
+        its multidegree up to mu, is a row.
         """
         field = self.field
-        variables = sorted(delta)
+        if field is None:
+            return []
+        if self.any_linear:
+            monos = sorted(_iter_splits(dict(mu), mixed_only=True), key=weight_key)
+            return [Poly(field, {m: field.one}) for m in reversed(monos)]
+        rows = self._echelon(mu).rows
+        ordered = sorted(rows, key=lambda r: weight_key(r[0]), reverse=True)
+        return [Poly(field, vec) for _, vec, _ in ordered]
 
-        def rec(pos, remaining, assigned):
-            if pos == len(variables):
-                elem = self._pattern_element(quad, variables, assigned)
-                if not elem.is_zero:
-                    used = {v: mu[v] - remaining.get(v, 0) for v in mu}
-                    yield elem, {v: d for v, d in used.items() if d}
-                return
-            v = variables[pos]
-            for counts, used in _iter_multisets(options, delta[v], remaining):
-                rem = {k: remaining.get(k, 0) - used.get(k, 0) for k in remaining}
-                assigned.append(counts)
-                yield from rec(pos + 1, rem, assigned)
-                assigned.pop()
-
-        yield from rec(0, dict(mu), [])
-
-    def _pattern_element(self, quad, variables, assigned) -> Poly:
-        field = self.field
-        acc = {}
-        for w, cw in quad.terms.items():
-            ydeg = dict(w.ys)
-            per_var = []
-            ok = True
-            for v, counts in zip(variables, assigned):
-                alpha = ydeg.get(v, 0)
-                choices = []
-                for coeff, t_factors, s_factors in _iter_count_splits(counts, alpha):
-                    mono = Monomial()
-                    for (md, t_img, _), r in t_factors:
-                        mono = mono * _monomial_power(t_img, r)
-                    for (md, _, s_img), r in s_factors:
-                        mono = mono * _monomial_power(s_img, r)
-                    choices.append((coeff, mono))
-                if not choices:
-                    ok = False
-                    break
-                per_var.append(choices)
-            if not ok:
+    def _echelon(self, mu: dict) -> Echelon:
+        key = _multidegree_key(mu)
+        ech = self._echelons.get(key)
+        if ech is not None:
+            return ech
+        mu = dict(key)
+        ech = Echelon(self.field, sort_key=weight_key)
+        variables = range(1, max(mu) + 1)
+        bound = tuple(mu.get(v, 0) for v in variables)
+        options = [
+            (tuple(md.get(v, 0) for v in variables), t_img, s_img)
+            for md, t_img, s_img in _basis_monomial_options(mu)
+        ]
+        for delta, quad in self.components:
+            if sum(delta.values()) > sum(bound):
                 continue
-            stack = [(1, Monomial())]
-            for choices in per_var:
-                stack = [
-                    (c0 * c1, m0 * m1) for c0, m0 in stack for c1, m1 in choices
-                ]
-            for c, m in stack:
-                v = field.add(acc.get(m, field.zero), field.mul(cw, field.from_int(c)))
-                if v:
-                    acc[m] = v
-                else:
-                    acc.pop(m, None)
-        return Poly(field, acc)
+            for used, block in self._expansion(delta, quad, options, bound).items():
+                left = {v: m - u for v, m, u in zip(variables, bound, used) if m > u}
+                mults = list(_iter_splits(left))
+                for elem in filter(None, block.values()):
+                    for mult in mults:
+                        ech.insert({m * mult: c for m, c in elem.items()})
+        self._echelons[key] = ech
+        return ech
+
+    def _expansion(self, delta, quad, options, bound) -> dict:
+        """Truncated expansion of one multihomogeneous generator part.
+
+        Under x_v -> sum_k c_{v,k} b_k, y_v becomes the sum of the
+        c_{v,k} t(b_k) and z_v the sum of the c_{v,k} s(b_k).  Each power
+        of these sums is expanded by repeated multiplication, once per
+        (v, a, b), so the multinomial coefficients, including those that
+        vanish in positive characteristic, come out of the arithmetic.
+        The result is grouped as in _truncated_mul; a coefficient may be
+        zero (an empty dict).
+        """
+        field = self.field
+        origin = (0,) * len(bound)
+        unit = {origin: {(): {Monomial(): field.one}}}
+        powers = {}
+
+        def power(v, a, b):
+            """(sum_k c_{v,k} t(b_k))^a (sum_k c_{v,k} s(b_k))^b, truncated."""
+            if not a and not b:
+                return unit
+            got = powers.get((v, a, b))
+            if got is None:
+                prev, side = (power(v, a, b - 1), 2) if b else (power(v, a - 1, 0), 1)
+                linear = {}
+                for k, opt in enumerate(options):
+                    linear.setdefault(opt[0], {})[((v, k),)] = {opt[side]: field.one}
+                got = powers[(v, a, b)] = _truncated_mul(field, prev, linear, bound)
+            return got
+
+        variables = sorted(delta)
+        out = {}
+        for w, cw in quad.terms.items():
+            ys, zs = dict(w.ys), dict(w.zs)
+            prod = {origin: {(): {Monomial(): cw}}}
+            for v in variables:
+                factor = power(v, ys.get(v, 0), zs.get(v, 0))
+                last = v == variables[-1]
+                prod = _truncated_mul(field, prod, factor, bound, out if last else None)
+        return out
 
     def contains(self, f: BicommElement) -> bool:
-        if f.is_zero:
+        if f.is_zero or self.any_linear:
             return True
         if self.field is None:
             return False
-        parts = f.split_multihomogeneous()
-        for key, part in sorted(parts.items()):
-            if part.lin:
-                if not self.any_linear:
-                    return False
-                continue
-            rows = self.bucket(dict(key))
-            ech = Echelon(self.field, sort_key=weight_key)
-            for r in rows:
-                ech.insert(dict(r.terms))
-            if not ech.contains(dict(part.quad.terms)):
+        for key, part in sorted(f.split_multihomogeneous().items()):
+            if part.lin or not self._echelon(dict(key)).contains(dict(part.quad.terms)):
                 return False
         return True
 
@@ -636,7 +580,7 @@ def char_zero_two_variable_heuristic(gens, window: ClosureWindow | None = None) 
         found = None
         candidates = []
         seen = set()
-        for pattern in _iter_assignments(len(variables)):
+        for pattern in product((1, 2), repeat=len(variables)):
             sigma = Substitution(
                 {
                     v: BicommElement.generator(field, a)
@@ -656,16 +600,3 @@ def char_zero_two_variable_heuristic(gens, window: ClosureWindow | None = None) 
                 break
         out.append(found if found is not None else g)
     return out
-
-
-def _iter_assignments(n):
-    def rec(acc):
-        if len(acc) == n:
-            yield tuple(acc)
-            return
-        for a in (1, 2):
-            acc.append(a)
-            yield from rec(acc)
-            acc.pop()
-
-    yield from rec([])

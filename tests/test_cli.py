@@ -24,6 +24,13 @@ def test_normalize_and_mul(capsys):
     assert (code, out) == (0, "y2*z1 + y1*z1\n")
     code, out, _ = run(capsys, "mul", "x1", "x1", "--field", "fp:2")
     assert (code, out) == (0, "y1*z1\n")
+    # products nested deeper than the interpreter's recursion limit
+    for factors in (1201, 5001):
+        left = "(" * (factors - 2) + "x1*x1" + ")*x1" * (factors - 2)
+        right = "x1*(" * (factors - 2) + "x1*x1" + ")" * (factors - 2)
+        n = factors - 1
+        assert run(capsys, "normalize", left) == (0, f"y1*z1^{n}\n", "")
+        assert run(capsys, "normalize", right) == (0, f"y1^{n}*z1\n", "")
 
 
 def test_dimension_commands_and_output_modes(capsys):

@@ -49,10 +49,20 @@ def test_parse_simple_products():
     assert parse_expression("x7", QQ) == NAPolynomial.term(QQ, Leaf(7))
 
 
+def _nested(depth, left):
+    """x1 times itself depth times, nested to the left or to the right."""
+    t = Leaf(1)
+    for _ in range(depth):
+        t = Node(t, Leaf(1)) if left else Node(Leaf(1), t)
+    return t
+
+
 def test_parse_round_trip_random_terms():
-    for _ in range(100):
-        t = _random_term()
+    # the deep trees exceed the interpreter's recursion limit several times
+    deep = [_nested(5000, left=True), _nested(5000, left=False)]
+    for t in [_random_term() for _ in range(100)] + deep:
         assert parse_expression(print_term(t), QQ) == NAPolynomial.term(QQ, t)
+    assert [term_degree(t) for t in deep] == [5001, 5001]
 
 
 def test_parse_linear_combinations():

@@ -7,12 +7,13 @@ import random
 
 import pytest
 
-from bicomm.algebra import BicommElement
+from bicomm.algebra import BicommElement, normalize
 from bicomm.errors import NotDominated, UnsupportedGenerator, WindowTooSmall, WrongCharacteristic
 from bicomm.linalg import Echelon
 from bicomm.monomials import Monomial, parse_monomial
 from bicomm.orders import higman_leq, weight_key, weight_of
 from bicomm.polynomials import Poly
+from bicomm.terms import parse_expression
 from bicomm.tideals import (
     ClosureWindow,
     Substitution,
@@ -367,3 +368,95 @@ def test_two_variable_heuristic():
         == t_ideal_closure_bounded(out, window).dimensions()
     )
     assert char_zero_two_variable_heuristic([]) == []
+
+
+def _linearized_closure(sympy, g, window, field, domain):
+    """Per-multidegree echelons of the bounded closure of g, computed with
+    sympy: expand g under x_v -> sum_k c_{v,k} b_k over the basis monomials
+    b_k, take the coefficient of every c-monomial, and multiply it by every
+    monomial that fills it up to an in-window multidegree."""
+    n = window.max_variables
+    ys = sympy.symbols(f"y1:{n + 1}")
+    zs = sympy.symbols(f"z1:{n + 1}")
+
+    def power_product(m):
+        out = sympy.Integer(1)
+        for i, e in m.ys:
+            out *= ys[i - 1] ** e
+        for i, e in m.zs:
+            out *= zs[i - 1] ** e
+        return out
+
+    # (t(b_k), s(b_k)); a single b_k of degree above room leaves the window
+    room = window.max_degree - min(m.degree for m in g.quad.terms) + 1
+    images = [(ys[i], zs[i]) for i in range(n)]
+    images += [(power_product(m),) * 2 for m in _all_monomials(n, room) if m.is_mixed]
+    variables = sorted(g.indices())
+    cs = {v: sympy.symbols(f"c{v}_0:{len(images)}") for v in variables}
+    gens = [c for v in variables for c in cs[v]] + list(ys) + list(zs)
+
+    def poly(expr):
+        return sympy.Poly(expr, *gens, domain=domain)
+
+    t_sum = {v: poly(sum(c * t for c, (t, _) in zip(cs[v], images))) for v in variables}
+    s_sum = {v: poly(sum(c * s for c, (_, s) in zip(cs[v], images))) for v in variables}
+    expanded = poly(0)
+    for m, c in g.quad.terms.items():
+        scalar = sympy.Rational(c.numerator, c.denominator) if field.is_rationals else c
+        term = poly(scalar)
+        for i, e in m.ys:
+            term *= t_sum[i] ** e
+        for i, e in m.zs:
+            term *= s_sum[i] ** e
+        expanded += term
+    ncs = len(gens) - 2 * n
+    coefficients = {}
+    for exps, c in expanded.terms():
+        a, b = exps[ncs:ncs + n], exps[ncs + n:]
+        mono = Monomial([(i + 1, e) for i, e in enumerate(a)], [(i + 1, e) for i, e in enumerate(b)])
+        r = sympy.Rational(c)
+        value = field.div(field.from_int(int(r.p)), field.from_int(int(r.q)))
+        coefficients.setdefault(exps[:ncs], {})[mono] = value
+    buckets = {}
+    multipliers = [Monomial()] + _all_monomials(n, window.max_degree)
+    for vec in coefficients.values():
+        for mult in multipliers:
+            shifted = {m * mult: c for m, c in vec.items() if c}
+            if not shifted:
+                continue
+            (top,) = {m.multidegree() for m in shifted}
+            if sum(d for _, d in top) <= window.max_degree:
+                ech = buckets.setdefault(top, Echelon(field, sort_key=weight_key))
+                ech.insert(shifted)
+    return buckets
+
+
+def test_closure_equals_a_sympy_linearization_in_every_characteristic():
+    """Every bucket of the bounded closure spans exactly what a sympy
+    expansion of the generic substitution gives, over Q, GF(2) and GF(3)."""
+    sympy = pytest.importorskip("sympy")
+    commutator = "(x1*x2) - (x2*x1)"
+    associator = "(x1*x2)*x3 - x1*(x2*x3)"
+    cases = [
+        (commutator, (3, 2)),
+        (commutator, (4, 2)),
+        ("x1*x1", (3, 2)),
+        ("x1*x1", (4, 2)),
+        (associator, (3, 2)),
+        (associator, (4, 2)),
+    ]
+    for field, domain in ((QQ, sympy.QQ), (F2, sympy.GF(2)), (F3, sympy.GF(3))):
+        for text, bounds in cases:
+            g = normalize(parse_expression(text, field))
+            window = ClosureWindow(*bounds)
+            oracle = _linearized_closure(sympy, g, window, field, domain)
+            span = t_ideal_closure_bounded([g], window)
+            for key in span.buckets:
+                if sum(d for _, d in key) == 1:
+                    assert span.component(dict(key)) == []
+                    continue
+                rows = [dict(r.quad.terms) for r in span.component(dict(key))]
+                want = oracle.get(key, Echelon(field, sort_key=weight_key))
+                assert len(rows) == want.rank, (text, bounds, field.characteristic, key)
+                assert all(want.contains(r) for r in rows), (text, bounds, field.characteristic, key)
+            assert set(oracle) <= set(span.buckets)
