@@ -50,15 +50,32 @@ def poly_divmod(p: Poly, divisors):
     Returns (cofactors, remainder) with p = sum cofactor_i * divisor_i +
     remainder and no remainder monomial divisible by any divisor's
     leading monomial.  Ties go to the first divisor in list order.
+
+    The work terms are taken greatest first from a heap, which gets a
+    monomial each time it enters the work dict.  A popped monomial no
+    longer in the dict (it cancelled, or an earlier entry for it was
+    taken) is skipped; it cannot come back, since every term that enters
+    after a pop is smaller than the popped one.
     """
     field = p.field
+    add, sub, mul, zero = field.add, field.sub, field.mul, field.zero
     leads = [(d.leading(), i, d) for i, d in enumerate(divisors) if not d.is_zero]
     work = dict(p.terms)
+    # entries (-Y, -Z, m) for the weight key (Y, Z), so that the min-heap
+    # pops the greatest monomial; equal keys mean equal monomials, so the
+    # heap never has to order two monomials
+    heap = []
+    for m in work:
+        y, z = weight_key(m)
+        heap.append((-y, -z, m))
+    heapq.heapify(heap)
     remainder = {}
     cofactors = [dict() for _ in divisors]
-    while work:
-        m = max(work, key=weight_key)
-        coeff = work.pop(m)
+    while heap:
+        m = heapq.heappop(heap)[2]
+        coeff = work.pop(m, None)
+        if coeff is None:
+            continue
         for (lm, lc), i, d in leads:
             if lm.divides(m):
                 break
@@ -68,16 +85,22 @@ def poly_divmod(p: Poly, divisors):
         q = field.div(coeff, lc)
         qm = m.div(lm)
         cof = cofactors[i]
-        cof[qm] = field.add(cof.get(qm, field.zero), q)
+        cof[qm] = add(cof.get(qm, zero), q)
         for dm, dc in d.terms.items():
             if dm == lm:
                 continue
             key = dm * qm
-            v = field.sub(work.get(key, field.zero), field.mul(q, dc))
+            old = work.get(key)
+            if old is None:
+                work[key] = sub(zero, mul(q, dc))
+                y, z = weight_key(key)
+                heapq.heappush(heap, (-y, -z, key))
+                continue
+            v = sub(old, mul(q, dc))
             if v:
                 work[key] = v
             else:
-                work.pop(key, None)
+                del work[key]
     return [Poly(field, c) for c in cofactors], Poly(field, remainder)
 
 
@@ -196,7 +219,7 @@ def buchberger(gens, field: Field | None = None, start: GroebnerBasis | None = N
     while pairs:
         _, i, j, lcm = heapq.heappop(pairs)
         done.add((i, j))
-        if lcm.degree == lead[i].degree + lead[j].degree:
+        if lcm == lead[i] * lead[j]:
             continue  # coprime leading monomials: S-polynomial reduces to 0
         covered = any(
             k != i

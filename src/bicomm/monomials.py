@@ -1,10 +1,28 @@
 """Commutative monomials in two index-matched families of variables y_i, z_i.
 
-A monomial Y^a Z^b is stored sparsely as two tuples of (index, exponent)
-pairs, ascending by index, with all exponents positive.  Mixed monomials
-(total y-degree and z-degree both at least 1) form the basis of the square
-of the free bicommutative algebra; unrestricted monomials serve as the
-ambient polynomial ring K[Y, Z].
+A monomial Y^a Z^b is packed into two nonnegative ints, one per family.
+The exponent of y_i (of z_i) sits in the 32-bit field at bit offset
+32 * (i - 1) of the first (second) int.  Exponents stay below 2^31, so the
+top bit of every field is a guard bit that is zero in every monomial;
+indices stay at most 2^20, so one int takes at most 4 MiB.
+Following Bachmann & Schoenemann, *Monomial representations for Groebner
+bases computations* (ISSAC 1998), each operation works on whole ints:
+
+* higher indices sit in higher bits, so comparing the pairs (Y, Z) as
+  tuples is the weight order (see orders.weight_key);
+* a product adds the pairs, and a guard bit that comes up set means an
+  exponent reached 2^31;
+* a quotient subtracts them, and self divides other exactly when
+  other - self is nonnegative with every guard bit clear, since a field
+  that borrows sets its own guard bit;
+* an lcm takes the fieldwise maximum through the guard bits.
+
+Products, quotients and lcms of monomials come from a trusted constructor;
+the public constructor validates its (index, exponent) pairs.  The ys and
+zs properties decode the ints into ascending (index, exponent) pairs with
+positive exponents.  Mixed monomials (total y-degree and z-degree both at
+least 1) form the basis of the square of the free bicommutative algebra;
+unrestricted monomials serve as the ambient polynomial ring K[Y, Z].
 """
 
 from __future__ import annotations
@@ -13,52 +31,68 @@ import re
 
 from .errors import InvalidIndexMap, ParseError
 
+_WIDTH = 32
+_FIELD = (1 << _WIDTH) - 1
+_LIMIT = 1 << (_WIDTH - 1)  # exponents stay below the guard bit
+# a monomial at index i takes 4 * i bytes, so the index is bounded
+_MAX_INDEX = 1 << 20
 
-def _clean(pairs) -> tuple:
-    out = [(int(i), int(e)) for i, e in pairs if e]
-    out.sort()
-    for i, e in out:
-        if i < 1:
-            raise ValueError(f"variable index must be >= 1, got {i}")
-        if e < 0:
-            raise ValueError(f"negative exponent {e} for index {i}")
+# Guard bits of the fields below bit _guard_bits.  Every monomial is covered:
+# the public constructor widens the mask before it packs a higher index,
+# and sums, differences and maxima stay within their operands' fields.
+# "&" with a nonnegative int costs the smaller operand's size, so one
+# module-wide mask serves monomials of every size.
+_guard = 0
+_guard_bits = 0
+
+
+def _cover(nbits: int) -> None:
+    """Widen the guard mask to the fields of an int of nbits bits, at least
+    doubling it, so that indices growing one by one rebuild it rarely."""
+    global _guard, _guard_bits
+    fields = max(-(-nbits // _WIDTH), 2 * _guard_bits // _WIDTH)
+    _guard = int.from_bytes(_LIMIT.to_bytes(_WIDTH // 8, "little") * fields, "little")
+    _guard_bits = _WIDTH * fields
+
+
+def _pack(pairs) -> int:
+    """Validated packed int of (index, exponent) pairs; a repeated index
+    adds its exponents."""
+    v = 0
+    for i, e in pairs:
+        if e:
+            i, e = int(i), int(e)
+            if i < 1:
+                raise ValueError(f"variable index must be >= 1, got {i}")
+            if i > _MAX_INDEX:
+                raise ValueError(f"variable index must be at most 2^20, got {i}")
+            if e < 0:
+                raise ValueError(f"negative exponent {e} for index {i}")
+            shift = _WIDTH * (i - 1)
+            if (v >> shift & _FIELD) + e >= _LIMIT:
+                raise ValueError(f"exponent of index {i} must stay below 2^31")
+            v += e << shift
+    return v
+
+
+def _unpack(v: int) -> tuple:
+    """Ascending (index, exponent) pairs of the nonzero fields of v."""
+    out = []
+    while v:
+        shift = ((v & -v).bit_length() - 1) & -_WIDTH  # lowest nonzero field
+        e = v >> shift & _FIELD
+        out.append((shift // _WIDTH + 1, e))
+        v -= e << shift
     return tuple(out)
 
 
-def _merge_add(a: tuple, b: tuple) -> tuple:
-    if not a:
-        return b
-    if not b:
-        return a
-    acc = dict(a)
-    for i, e in b:
-        acc[i] = acc.get(i, 0) + e
-    return tuple(sorted(acc.items()))
-
-
-def _support(ys: tuple, zs: tuple) -> int:
-    """Bitmask of the occurring variables: bit 2i for y_i, bit 2i+1 for z_i."""
-    mask = 0
-    for i, _ in ys:
-        mask |= 1 << (2 * i)
-    for i, _ in zs:
-        mask |= 2 << (2 * i)
-    return mask
-
-
-def _dominated(small: tuple, big: tuple) -> bool:
-    """Whether each exponent of small is at most big's at the same index.
-
-    Both are ascending by index and small's indices occur in big.
-    """
-    rest = iter(big)
-    for i, e in small:
-        for j, f in rest:
-            if j == i:
-                if f < e:
-                    return False
-                break
-    return True
+def _fieldmax(a: int, b: int) -> int:
+    """Fieldwise maximum of two packed ints."""
+    top = max(a.bit_length(), b.bit_length()) | (_WIDTH - 1)
+    g = _guard & ((2 << top) - 1)  # guard bits of the operands' fields
+    ge = ((a | g) - b) & g  # guard bit set in the fields where a >= b
+    keep = ge - (ge >> (_WIDTH - 1))  # all 31 value bits of those fields
+    return b ^ ((a ^ b) & keep)
 
 
 def check_index_map(phi: dict, indices) -> None:
@@ -74,14 +108,25 @@ def check_index_map(phi: dict, indices) -> None:
 
 
 class Monomial:
-    __slots__ = ("ys", "zs", "_hash", "_wkey", "_mask")
+    __slots__ = ("_y", "_z", "_key", "_hash")
 
     def __init__(self, ys=(), zs=()):
-        self.ys = _clean(ys)
-        self.zs = _clean(zs)
-        self._hash = hash((self.ys, self.zs))
-        self._wkey = None
-        self._mask = None  # support bitmask, set by the first divides
+        y, z = _pack(ys), _pack(zs)
+        nbits = max(y.bit_length(), z.bit_length())
+        if nbits > _guard_bits:
+            _cover(nbits)
+        self._y = y
+        self._z = z
+        self._key = key = (y, z)
+        self._hash = hash(key)
+
+    @property
+    def ys(self) -> tuple:
+        return _unpack(self._y)
+
+    @property
+    def zs(self) -> tuple:
+        return _unpack(self._z)
 
     @property
     def ydeg(self) -> int:
@@ -97,67 +142,55 @@ class Monomial:
 
     @property
     def is_unit(self) -> bool:
-        return not self.ys and not self.zs
+        return not self._y and not self._z
 
     @property
     def is_mixed(self) -> bool:
-        return bool(self.ys) and bool(self.zs)
+        return bool(self._y) and bool(self._z)
 
     @property
     def max_index(self) -> int:
-        top = 0
-        if self.ys:
-            top = self.ys[-1][0]
-        if self.zs:
-            top = max(top, self.zs[-1][0])
-        return top
+        return (max(self._y.bit_length(), self._z.bit_length()) + _WIDTH - 1) // _WIDTH
 
     def indices(self) -> set:
         return {i for i, _ in self.ys} | {i for i, _ in self.zs}
 
     def pair_at(self, i: int) -> tuple:
         """Exponent pair (y-exponent, z-exponent) at index i."""
-        return (dict(self.ys).get(i, 0), dict(self.zs).get(i, 0))
+        if i < 1:
+            return (0, 0)
+        shift = _WIDTH * (i - 1)
+        return (self._y >> shift & _FIELD, self._z >> shift & _FIELD)
 
     def multidegree(self) -> tuple:
         """Sparse per-index total degree, as ((index, degree), ...)."""
-        acc = {}
-        for i, e in self.ys:
-            acc[i] = acc.get(i, 0) + e
-        for i, e in self.zs:
-            acc[i] = acc.get(i, 0) + e
-        return tuple(sorted(acc.items()))
+        # two exponents below 2^31 sum below 2^32: no field carries over
+        return _unpack(self._y + self._z)
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        return Monomial(_merge_add(self.ys, other.ys), _merge_add(self.zs, other.zs))
+        y = self._y + other._y
+        z = self._z + other._z
+        if y & _guard or z & _guard:
+            raise ValueError(f"exponent of {self} * {other} must stay below 2^31")
+        return _monomial(y, z)
 
     def divides(self, other: "Monomial") -> bool:
-        a = self._mask
-        if a is None:
-            a = self._mask = _support(self.ys, self.zs)
-        b = other._mask
-        if b is None:
-            b = other._mask = _support(other.ys, other.zs)
-        if a & ~b:
-            return False  # some variable of self does not occur in other
-        return _dominated(self.ys, other.ys) and _dominated(self.zs, other.zs)
+        d = other._y - self._y
+        if d < 0 or d & _guard:
+            return False
+        d = other._z - self._z
+        return d >= 0 and not d & _guard
 
     def div(self, other: "Monomial") -> "Monomial":
         """Quotient self / other; other must divide self."""
-        sy, sz = dict(self.ys), dict(self.zs)
-        for i, e in other.ys:
-            sy[i] = sy.get(i, 0) - e
-        for i, e in other.zs:
-            sz[i] = sz.get(i, 0) - e
-        return Monomial(sy.items(), sz.items())
+        y = self._y - other._y
+        z = self._z - other._z
+        if y < 0 or z < 0 or y & _guard or z & _guard:
+            raise ValueError(f"{other} does not divide {self}")
+        return _monomial(y, z)
 
     def lcm(self, other: "Monomial") -> "Monomial":
-        sy, sz = dict(self.ys), dict(self.zs)
-        for i, e in other.ys:
-            sy[i] = max(sy.get(i, 0), e)
-        for i, e in other.zs:
-            sz[i] = max(sz.get(i, 0), e)
-        return Monomial(sy.items(), sz.items())
+        return _monomial(_fieldmax(self._y, other._y), _fieldmax(self._z, other._z))
 
     def apply_index_map(self, phi: dict) -> "Monomial":
         """Rename indices through phi, which must be strictly increasing."""
@@ -172,9 +205,7 @@ class Monomial:
         )
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Monomial) and self.ys == other.ys and self.zs == other.zs
-        )
+        return isinstance(other, Monomial) and self._key == other._key
 
     def __hash__(self):
         return self._hash
@@ -190,6 +221,19 @@ class Monomial:
 
     def __repr__(self):
         return f"Monomial({self})"
+
+
+_new = object.__new__
+
+
+def _monomial(y: int, z: int) -> Monomial:
+    """Trusted constructor from packed ints with clear guard bits."""
+    m = _new(Monomial)
+    m._y = y
+    m._z = z
+    m._key = key = (y, z)
+    m._hash = hash(key)
+    return m
 
 
 ONE = Monomial()

@@ -22,14 +22,13 @@ from .monomials import Monomial
 
 
 def weight_key(m: Monomial) -> tuple:
-    """Sort key realizing the weight order: bigger key = bigger monomial."""
-    key = m._wkey
-    if key is None:
-        # exponent pairs are stored ascending by unique index, so reversing
-        # lists them from the highest index down; cached on the monomial
-        key = (m.ys[::-1], m.zs[::-1])
-        m._wkey = key
-    return key
+    """Sort key realizing the weight order: bigger key = bigger monomial.
+
+    It is the monomial's packed pair (Y, Z): higher indices sit in higher
+    bits, so comparing Y compares the y-exponents from the highest index
+    down, and Z breaks ties the same way.
+    """
+    return m._key
 
 
 def weight_compare(a: Monomial, b: Monomial) -> int:

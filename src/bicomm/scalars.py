@@ -27,9 +27,13 @@ def _is_prime(n: int) -> bool:
 
 
 class Field:
-    """The rationals (``characteristic == 0``) or F_p for a word-size prime."""
+    """The rationals (``characteristic == 0``) or F_p for a word-size prime.
 
-    __slots__ = ("characteristic",)
+    ``zero`` and ``one`` are set once per field; the arithmetic tests the
+    characteristic directly.
+    """
+
+    __slots__ = ("characteristic", "zero", "one")
 
     def __init__(self, characteristic: int):
         if characteristic != 0:
@@ -38,6 +42,8 @@ class Field:
             if not _is_prime(characteristic):
                 raise InvalidField(f"modulus is not prime: {characteristic}")
         self.characteristic = characteristic
+        self.zero = Fraction(0) if characteristic == 0 else 0
+        self.one = Fraction(1) if characteristic == 0 else 1
 
     @classmethod
     def rationals(cls) -> "Field":
@@ -67,45 +73,31 @@ class Field:
     def is_rationals(self) -> bool:
         return self.characteristic == 0
 
-    @property
-    def zero(self):
-        return Fraction(0) if self.is_rationals else 0
-
-    @property
-    def one(self):
-        return Fraction(1) if self.is_rationals else 1
-
     def from_int(self, n: int):
-        if self.is_rationals:
-            return Fraction(n)
-        return n % self.characteristic
+        p = self.characteristic
+        return n % p if p else Fraction(n)
 
     def add(self, a, b):
-        if self.is_rationals:
-            return a + b
-        return (a + b) % self.characteristic
+        p = self.characteristic
+        return (a + b) % p if p else a + b
 
     def sub(self, a, b):
-        if self.is_rationals:
-            return a - b
-        return (a - b) % self.characteristic
+        p = self.characteristic
+        return (a - b) % p if p else a - b
 
     def neg(self, a):
-        if self.is_rationals:
-            return -a
-        return (-a) % self.characteristic
+        p = self.characteristic
+        return -a % p if p else -a
 
     def mul(self, a, b):
-        if self.is_rationals:
-            return a * b
-        return (a * b) % self.characteristic
+        p = self.characteristic
+        return a * b % p if p else a * b
 
     def inv(self, a):
         if not a:
             raise DivisionByZero("cannot invert zero")
-        if self.is_rationals:
-            return 1 / a
-        return pow(a, self.characteristic - 2, self.characteristic)
+        p = self.characteristic
+        return pow(a, p - 2, p) if p else 1 / a
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))

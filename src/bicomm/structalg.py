@@ -201,14 +201,23 @@ def _product(table: dict, ops: tuple, u: dict, v: dict) -> dict:
 
 
 def _eval_tree(t, args: dict, alg: StructureAlgebra, ops: tuple) -> dict:
-    if isinstance(t, Leaf):
-        got = args.get(t.index)
-        if got is None:
-            raise BadElement(f"no argument supplied for x{t.index}")
-        return got
-    left = _eval_tree(t.left, args, alg, ops)
-    right = _eval_tree(t.right, args, alg, ops)
-    return _product(alg.table, ops, left, right)
+    """Value of one tree, left subtree before right, folded on an explicit
+    stack where a None mark multiplies the last two values."""
+    done = []
+    todo = [t]
+    while todo:
+        s = todo.pop()
+        if s is None:
+            right = done.pop()
+            done[-1] = _product(alg.table, ops, done[-1], right)
+        elif isinstance(s, Leaf):
+            got = args.get(s.index)
+            if got is None:
+                raise BadElement(f"no argument supplied for x{s.index}")
+            done.append(got)
+        else:
+            todo += (None, s.right, s.left)
+    return done[0]
 
 
 def _eval_poly(terms: list, args: dict, alg: StructureAlgebra, ops: tuple) -> dict:

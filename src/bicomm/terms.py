@@ -271,19 +271,21 @@ class _Parser:
     def parse_poly(self) -> NAPolynomial:
         """Parse a poly; each '(' pushes the enclosing poly on a stack.
 
-        A stack entry is (sum so far, coefficient of the open term, its
-        first factor or None).
+        A stack entry is (terms of the sum so far, coefficient of the open
+        term, its first factor or None).  Each sum accumulates into one
+        dict, so a long sum parses in linear time.
         """
         field = self.field
+        add, mul, zero = field.add, field.mul, field.zero
         stack = []
-        result, coeff, first = NAPolynomial.zero(field), self.parse_coeff(), None
+        result, coeff, first = {}, self.parse_coeff(), None
         while True:
             tok = self.next()
             if tok is None:
                 self.fail("expected a factor")
             if tok.kind == "op" and tok.text == "(":
                 stack.append((result, coeff, first))
-                result, coeff, first = NAPolynomial.zero(field), self.parse_coeff(), None
+                result, coeff, first = {}, self.parse_coeff(), None
                 continue
             if tok.kind != "xvar":
                 self.fail(f"expected a factor, got {tok.text!r}", tok)
@@ -307,16 +309,23 @@ class _Parser:
                             tok.line,
                             tok.column,
                         )
-                result = result.add(value.scale(coeff))
+                for t, c in value.terms.items():
+                    w = mul(coeff, c)
+                    if w:
+                        v = add(result.get(t, zero), w)
+                        if v:
+                            result[t] = v
+                        else:
+                            del result[t]
                 if self.at_op("+-"):
                     coeff, first = self.parse_coeff(), None
                     break
                 if not stack:
-                    return result
+                    return NAPolynomial(field, result)
                 closing = self.next()
                 if closing is None or closing.kind != "op" or closing.text != ")":
                     self.fail("expected ')'", closing)
-                value = result
+                value = NAPolynomial(field, result)
                 result, coeff, first = stack.pop()
 
     def parse_coeff(self):

@@ -225,3 +225,21 @@ def test_generator_files_allow_comments_and_blanks(tmp_path, capsys):
     gens.write_text("# leading comment\n\n(x1*x1)  # inline\n\n")
     code, out, _ = run(capsys, "ideal-member", "--gens", str(gens), "--elem", "(x1*x1)")
     assert (code, out) == (0, "MEMBER\n")
+
+
+def test_check_identity_on_deeply_nested_products(tmp_path, capsys):
+    """Evaluation folds a tree on an explicit stack, so an identity nested
+    deeper than the interpreter's recursion limit still gets a verdict."""
+    algebra = tmp_path / "idempotent.json"
+    algebra.write_text(json.dumps({"dim": 1, "field": "q", "table": [[0, 0, ["1"]]]}))
+    factors = 1201
+    left = "(" * (factors - 2) + "x1*x1" + ")*x1" * (factors - 2)
+    right = "x1*(" * (factors - 2) + "x1*x1" + ")" * (factors - 2)
+    for identity, want in (
+        (left, (1, "Fails\nwitness: none\n", "")),
+        (right, (1, "Fails\nwitness: none\n", "")),
+        (f"({left}) - ({right})", (0, "Holds\n", "")),
+    ):
+        got = run(capsys, "check-identity", "--algebra", str(algebra),
+                  "--identity", identity, "--mode", "symbolic")
+        assert got == want

@@ -1,11 +1,17 @@
-"""Sparse two-family monomials: arithmetic, parsing, index maps."""
+"""Packed two-family monomials: arithmetic, parsing, index maps."""
 
 import random
+import time
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bicomm.cli import main
 from bicomm.errors import InvalidIndexMap, ParseError
 from bicomm.monomials import Monomial, parse_monomial
+from bicomm.orders import weight_key
 
 SEED = 1009
 
@@ -47,7 +53,7 @@ def test_parse_errors():
 
 
 def test_mul_div_lcm_against_dict_oracle():
-    """Compare the tuple implementation with plain dict arithmetic."""
+    """Compare the packed implementation with plain dict arithmetic."""
     rng = random.Random(SEED)
     for _ in range(300):
         a = _random_monomial(rng)
@@ -103,3 +109,141 @@ def test_equality_and_hash():
     b = Monomial([(1, 1)], [(2, 1)])
     assert a == b and hash(a) == hash(b)
     assert len({a, b, parse_monomial("y1*z2"), parse_monomial("z2*y1")}) == 1
+
+
+# --- packed exponent vectors against a plain dict-of-exponents reference ------
+
+LIMIT = 1 << 31  # exponents stay below the guard bit of their 32-bit field
+
+_indices = st.one_of(st.integers(1, 4), st.integers(1, 200))
+_exponents = st.one_of(
+    st.integers(0, 4), st.integers(LIMIT - 4, LIMIT - 1), st.integers(0, LIMIT - 1)
+)
+_family = st.dictionaries(_indices, _exponents, max_size=6)
+_refs = st.tuples(_family, _family)
+
+
+def _clean_ref(ref):
+    return tuple({i: e for i, e in fam.items() if e} for fam in ref)
+
+
+def _build(ref):
+    return Monomial(ref[0].items(), ref[1].items())
+
+
+def _combine(op, a, b):
+    return tuple(
+        {i: op(x.get(i, 0), y.get(i, 0)) for i in set(x) | set(y)} for x, y in zip(a, b)
+    )
+
+
+def _ref_str(ref):
+    ys, zs = _clean_ref(ref)
+    parts = [
+        f"{letter}{i}" if e == 1 else f"{letter}{i}^{e}"
+        for letter, fam in (("y", ys), ("z", zs))
+        for i, e in sorted(fam.items())
+    ]
+    return "*".join(parts) or "1"
+
+
+def _old_weight_key(ref):
+    """The weight key of the sparse-tuple representation: (index, exponent)
+    pairs from the highest index down, y before z."""
+    ys, zs = _clean_ref(ref)
+    return (tuple(sorted(ys.items()))[::-1], tuple(sorted(zs.items()))[::-1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_refs, _refs)
+def test_packed_arithmetic_matches_the_dict_reference(a, b):
+    ma, mb = _build(a), _build(b)
+    ys, zs = _clean_ref(a)
+    assert dict(ma.ys) == ys and dict(ma.zs) == zs
+    assert [i for i, _ in ma.ys] == sorted(ys) and [i for i, _ in ma.zs] == sorted(zs)
+    assert ma.degree == sum(ys.values()) + sum(zs.values())
+    assert ma.max_index == max(list(ys) + list(zs), default=0)
+
+    prod = _combine(int.__add__, a, b)
+    if any(e >= LIMIT for fam in prod for e in fam.values()):
+        with pytest.raises(ValueError):
+            ma * mb
+    else:
+        assert ma * mb == _build(prod)
+        assert (ma * mb).div(mb) == ma
+
+    divides = all(e <= b[k].get(i, 0) for k in (0, 1) for i, e in a[k].items())
+    assert ma.divides(mb) == divides
+    if divides:
+        assert mb.div(ma) == _build(_combine(int.__sub__, b, a))
+    else:
+        with pytest.raises(ValueError):
+            mb.div(ma)
+    assert ma.lcm(mb) == _build(_combine(max, a, b))
+
+    assert (ma == mb) == (_clean_ref(a) == _clean_ref(b))
+    assert ma == Monomial(reversed(list(a[0].items())), reversed(list(a[1].items())))
+    assert hash(ma) == hash(_build(_clean_ref(a)))
+
+    assert str(ma) == _ref_str(a)
+    assert parse_monomial(str(ma)) == ma
+
+    old_a, old_b = _old_weight_key(a), _old_weight_key(b)
+    assert (weight_key(ma) < weight_key(mb)) == (old_a < old_b)
+    assert (weight_key(ma) == weight_key(mb)) == (old_a == old_b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_refs, st.integers(1, 200), st.integers(LIMIT, 4 * LIMIT))
+def test_exponents_from_two_to_the_31_are_rejected(ref, i, e):
+    ys, zs = dict(ref[0]), dict(ref[1])
+    ys[i] = e
+    with pytest.raises(ValueError):
+        Monomial(ys.items(), zs.items())
+    with pytest.raises(ValueError):
+        Monomial(zs.items(), ys.items())
+
+
+def test_exponent_limit_in_products_and_repeated_indices():
+    near = Monomial([(3, LIMIT - 1)], [(200, LIMIT - 1)])
+    assert near * Monomial() == near
+    with pytest.raises(ValueError):
+        near * Monomial([(3, 1)], [])
+    with pytest.raises(ValueError):
+        near * Monomial([], [(200, 1)])
+    # a repeated index adds its exponents, and the sum is checked
+    assert Monomial([(2, 1), (2, 3)], []) == parse_monomial("y2^4")
+    with pytest.raises(ValueError):
+        Monomial([(2, LIMIT // 2), (2, LIMIT // 2)], [])
+
+
+def test_cli_maps_the_exponent_limit_to_exit_code_3(capsys):
+    assert main(["weight-cmp", "y1^2147483648*z1", "y1*z1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+    assert main(["weight-cmp", "y1^2147483647*z1", "y1*z1"]) == 0
+    assert capsys.readouterr().out == ">\n"
+
+
+def test_indices_above_two_to_the_20_are_rejected_before_packing(capsys):
+    assert Monomial([(1 << 20, 1)], []).max_index == 1 << 20
+    for ys, zs in (([((1 << 20) + 1, 1)], []), ([], [(10**12, 1)])):
+        with pytest.raises(ValueError):
+            Monomial(ys, zs)
+    assert main(["weight-cmp", "y1*z1000000000000", "y1*z1"]) == 3
+    assert main(["normalize", "x1000000000000*x1"]) == 3
+    assert capsys.readouterr().out == ""
+
+
+def test_huge_indices_stay_sparse(capsys):
+    """An index of 100000 packs into one int; nothing is kept per index."""
+    tracemalloc.start()
+    start = time.process_time()
+    try:
+        code = main(["normalize", "x100000*x1 + x99999*x2"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.process_time() - start < 5
+    assert peak < 32 * 2**20
+    assert (code, capsys.readouterr().out) == (0, "y100000*z1 + y99999*z2\n")

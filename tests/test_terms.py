@@ -112,3 +112,17 @@ def test_napolynomial_product_is_bilinear():
 def test_napolynomial_str_sorted_by_degree_then_text():
     p = parse_expression("x2 + x1*(x1*x1) + x1*x2", QQ)
     assert str(p) == "1*x2 + 1*x1*x2 + 1*x1*(x1*x1)"
+
+
+def test_a_long_sum_parses_like_the_term_by_term_sum():
+    """A sum accumulates into one dict, so 4,000 terms parse in linear time."""
+    rng = random.Random(4000)
+    for field in (QQ, F3):
+        terms = [(rng.randint(-3, 3), _random_term(3, 6)) for _ in range(4000)]
+        text = " ".join(f"{'-' if c < 0 else '+'} {abs(c)}*({print_term(t)})" for c, t in terms)
+        want = NAPolynomial.zero(field)
+        for c, t in terms:
+            want = want.add(NAPolynomial.term(field, t, field.from_int(c)))
+        got = parse_expression(text, field)
+        assert got == want
+        assert list(got.terms) == list(want.terms)
