@@ -138,15 +138,6 @@ class BicommElement:
         lin = {phi[i]: c for i, c in self.lin.items()}
         return BicommElement(self.field, lin, self.quad._relabeled(phi))
 
-    def homogeneous_component(self, n: int) -> "BicommElement":
-        """Part of total degree n."""
-        if n == 1:
-            return BicommElement(self.field, dict(self.lin))
-        quad = Poly(
-            self.field, {m: c for m, c in self.quad.terms.items() if m.degree == n}
-        )
-        return BicommElement.from_quad(quad)
-
     def split_multihomogeneous(self) -> dict:
         """Split into parts with a fixed per-index degree.
 

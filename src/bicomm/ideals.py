@@ -21,8 +21,7 @@ leaving a polynomial multiple of some y_u s_l.
 from __future__ import annotations
 
 import heapq
-from fractions import Fraction
-from math import gcd
+import math
 
 from .algebra import BicommElement
 from .errors import BadChain, UnsupportedGenerator
@@ -104,22 +103,159 @@ def poly_divmod(p: Poly, divisors):
     return [Poly(field, c) for c in cofactors], Poly(field, remainder)
 
 
+def _integral(p: Poly):
+    """(terms, d): p as a dict of integer coefficients over a common
+    denominator d; over a prime field the residues themselves, with d = 1."""
+    if p.field.characteristic:
+        return dict(p.terms), 1
+    d = math.lcm(*(c.denominator for c in p.terms.values()))
+    return {m: c.numerator * (d // c.denominator) for m, c in p.terms.items()}, d
+
+
+def _row(pairs, p: int):
+    """Integer form of a nonzero polynomial given as (monomial, integer)
+    pairs, greatest first: (lead monomial, lead coefficient, tail pairs).
+
+    Over the rationals (p = 0) the coefficients become coprime with a
+    positive lead; over F_p they become monic residues.  Polynomials that
+    are scalar multiples of each other get equal forms.
+    """
+    lm, lc = pairs[0]
+    if p:
+        inv = pow(lc, p - 2, p)
+        return lm, 1, tuple((m, c * inv % p) for m, c in pairs[1:])
+    g = math.gcd(*(c for _, c in pairs))
+    if lc < 0:
+        g = -g
+    return lm, lc // g, tuple((m, c // g) for m, c in pairs[1:])
+
+
+def _poly_row(d: Poly):
+    terms, _ = _integral(d)
+    pairs = sorted(terms.items(), key=lambda t: weight_key(t[0]), reverse=True)
+    return _row(pairs, d.field.characteristic)
+
+
+def _emit(field: Field, pairs, d: int) -> Poly:
+    """The polynomial sum(c * m) / d of integer (monomial, c) pairs."""
+    inv, mul = field.inv(d), field.mul
+    out = Poly(field)
+    out.terms = {m: mul(c, inv) for m, c in pairs}
+    return out
+
+
+def _reduce(work: dict, rows, p: int):
+    """Fully reduce the integer polynomial work (consumed) by integer rows.
+
+    Terms are taken greatest first, each divided by the first row whose
+    lead divides it, in the same steps as poly_divmod.  Over F_p the rows
+    are monic.  Over the rationals a step whose row lead lc does not
+    divide the coefficient a first multiplies work by lc / gcd(a, lc);
+    the product of these factors is the returned scale, and the
+    remainder pairs (greatest first) are scale times the exact remainder.
+    """
+    heap = []
+    for m in work:
+        y, z = weight_key(m)
+        heap.append((-y, -z, m))
+    heapq.heapify(heap)
+    heappop, heappush, gcd = heapq.heappop, heapq.heappush, math.gcd
+    rem = []
+    scale = 1
+    while heap:
+        m = heappop(heap)[2]
+        a = work.pop(m, None)
+        if a is None:
+            continue
+        for lm, lc, tail in rows:
+            if lm.divides(m):
+                break
+        else:
+            rem.append((m, a, scale))
+            continue
+        if lc != 1:
+            g = gcd(a, lc)
+            if g != lc:
+                f = lc // g
+                for k in work:
+                    work[k] *= f
+                scale *= f
+            a //= g
+        qm = m.div(lm)
+        for dm, dc in tail:
+            key = dm * qm
+            old = work.get(key)
+            if old is None:
+                v = -a * dc % p if p else -a * dc
+                work[key] = v
+                y, z = weight_key(key)
+                heappush(heap, (-y, -z, key))
+                continue
+            v = (old - a * dc) % p if p else old - a * dc
+            if v:
+                work[key] = v
+            else:
+                del work[key]
+    if scale != 1:
+        return [(m, a * (scale // s)) for m, a, s in rem], scale
+    return [(m, a) for m, a, _ in rem], 1
+
+
+def _spair(f, g, lcm: Monomial, p: int) -> dict:
+    """Integer S-polynomial of two rows with lead lcm, whose leading
+    terms cancel and are left out: a nonzero multiple of spolynomial's."""
+    lf, af, tf = f
+    lg, ag, tg = g
+    u, v = lcm.div(lf), lcm.div(lg)
+    c = math.gcd(af, ag)
+    cf, cg = ag // c, af // c
+    work = {m * u: cf * a for m, a in tf}
+    for m, a in tg:
+        key = m * v
+        x = work.get(key, 0) - cg * a
+        if p:
+            x %= p
+        if x:
+            work[key] = x
+        else:
+            work.pop(key, None)
+    return work
+
+
 def poly_normal_form(p: Poly, basis) -> Poly:
-    """Remainder of division by a Groebner basis (or any divisor list)."""
-    divisors = basis.generators if isinstance(basis, GroebnerBasis) else basis
-    _, r = poly_divmod(p, divisors)
-    return r
+    """Remainder of division by a Groebner basis (or any divisor list).
+
+    The same remainder as poly_divmod's, reduced on integer forms with no
+    cofactors kept.
+    """
+    if isinstance(basis, GroebnerBasis):
+        rows = basis._integer_rows()
+    else:
+        rows = [_poly_row(d) for d in basis if not d.is_zero]
+    work, d = _integral(p)
+    rem, scale = _reduce(work, rows, p.field.characteristic)
+    return _emit(p.field, rem, d * scale)
 
 
 class GroebnerBasis:
     """Reduced basis: monic generators, mutually irreducible, sorted by
-    leading monomial so equal ideals give equal objects."""
+    leading monomial so equal ideals give equal objects.
 
-    __slots__ = ("field", "generators")
+    The generators' integer forms (see _row), which the reductions use,
+    come from buchberger or are built on first use.
+    """
+
+    __slots__ = ("field", "generators", "_rows")
 
     def __init__(self, field: Field, generators):
         self.field = field
         self.generators = list(generators)
+        self._rows = None
+
+    def _integer_rows(self):
+        if self._rows is None:
+            self._rows = [_poly_row(g) for g in self.generators]
+        return self._rows
 
     def __iter__(self):
         return iter(self.generators)
@@ -138,25 +274,10 @@ class GroebnerBasis:
         return f"GroebnerBasis({[str(g) for g in self.generators]})"
 
 
-def _primitive(p: Poly, field: Field) -> Poly:
-    """Canonical scalar multiple of p: monic over a prime field; over the
-    rationals, coprime integer coefficients with a positive leading one.
-
-    Keeping intermediate basis elements integral stops the coefficient
-    growth that monic tails suffer during long reduction chains.
-    """
-    if p.is_zero or not field.is_rationals:
-        return p.monic()
-    denom_lcm = 1
-    for c in p.terms.values():
-        denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-    num_gcd = 0
-    for c in p.terms.values():
-        num_gcd = gcd(num_gcd, c.numerator * (denom_lcm // c.denominator))
-    scale = Fraction(denom_lcm, num_gcd)
-    if p.leading()[1] < 0:
-        scale = -scale
-    return p.scale(scale)
+def _basis_of_rows(field: Field, rows) -> GroebnerBasis:
+    gb = GroebnerBasis(field, (_emit(field, ((lm, lc),) + tail, lc) for lm, lc, tail in rows))
+    gb._rows = rows
+    return gb
 
 
 def buchberger(gens, field: Field | None = None, start: GroebnerBasis | None = None) -> GroebnerBasis:
@@ -174,6 +295,10 @@ def buchberger(gens, field: Field | None = None, start: GroebnerBasis | None = N
     divides the lcm and both side pairs were already treated).  The
     final basis is minimalized, interreduced, made monic and sorted, so
     the result is the unique reduced basis of the ideal.
+
+    All of it runs on integer forms (see _row), fraction-free: over the
+    rationals the coefficients stay coprime integers, and only the
+    emitted basis is made monic.
     """
     polys = [p for p in gens if not p.is_zero]
     if field is None:
@@ -188,22 +313,25 @@ def buchberger(gens, field: Field | None = None, start: GroebnerBasis | None = N
     for p in polys:
         field.check_same(p.field)
 
-    basis = list(start.generators) if start is not None else []
+    char = field.characteristic
+    basis = list(start._integer_rows()) if start is not None else []
     old = len(basis)
     seen = set()
     for p in polys:
         if start is not None:
-            p = poly_normal_form(p, basis)
-            if p.is_zero:
+            rem, _ = _reduce(_integral(p)[0], basis, char)
+            if not rem:
                 continue
-        q = _primitive(p, field)
+            q = _row(rem, char)
+        else:
+            q = _poly_row(p)
         if q not in seen:
             seen.add(q)
             basis.append(q)
     if start is not None and len(basis) == old:
-        return GroebnerBasis(field, basis)
+        return _basis_of_rows(field, basis)
 
-    lead = [g.leading()[0] for g in basis]
+    lead = [g[0] for g in basis]
     pairs = []
     for j in range(old, len(basis)):
         for i in range(j):
@@ -231,38 +359,39 @@ def buchberger(gens, field: Field | None = None, start: GroebnerBasis | None = N
         )
         if covered:
             continue  # chain criterion: S-polynomial already accounted for
-        r = poly_normal_form(spolynomial(basis[i], basis[j]), basis)
-        if r.is_zero:
+        r, _ = _reduce(_spair(basis[i], basis[j], lcm, char), basis, char)
+        if not r:
             continue
-        basis.append(_primitive(r, field))
+        basis.append(_row(r, char))
         k = len(basis) - 1
-        lead.append(basis[k].leading()[0])
+        lead.append(basis[k][0])
         for i2 in range(k):
             lcm = lead[i2].lcm(lead[k])
             heapq.heappush(pairs, (weight_key(lcm), i2, k, lcm))
 
-    return GroebnerBasis(field, _reduce_basis(basis))
+    return _basis_of_rows(field, _reduce_basis(basis, char))
 
 
-def _reduce_basis(basis):
+def _reduce_basis(basis, p: int):
     kept = []
-    for i, g in enumerate(basis):
-        lm = g.leading()[0]
+    for i, (lm, _, _) in enumerate(basis):
         redundant = False
         for j, h in enumerate(basis):
             if i == j:
                 continue
-            lmh = h.leading()[0]
+            lmh = h[0]
             if lmh.divides(lm) and (lmh != lm or j < i):
                 redundant = True
                 break
         if not redundant:
-            kept.append(g)
+            kept.append(basis[i])
     # leading monomials of a minimal basis are unchanged by tail
     # reduction, so one pass leaves every element reduced
     for i in range(len(kept)):
-        kept[i] = poly_normal_form(kept[i], kept[:i] + kept[i + 1 :]).monic()
-    kept.sort(key=lambda g: weight_key(g.leading()[0]))
+        lm, lc, tail = kept[i]
+        rem, scale = _reduce(dict(tail), kept[:i] + kept[i + 1 :], p)
+        kept[i] = _row([(lm, lc * scale)] + rem, p)
+    kept.sort(key=lambda g: weight_key(g[0]))
     return kept
 
 

@@ -112,7 +112,3 @@ class Echelon:
     def contains(self, vec: dict) -> bool:
         residual, _ = self._reduce(vec)
         return not residual
-
-    def reduce_vec(self, vec: dict) -> dict:
-        residual, _ = self._reduce(vec)
-        return residual

@@ -97,7 +97,10 @@ class Field:
         if not a:
             raise DivisionByZero("cannot invert zero")
         p = self.characteristic
-        return pow(a, p - 2, p) if p else 1 / a
+        if p:
+            return pow(a, p - 2, p)
+        # a plain int must not reach true division, which gives a float
+        return 1 / a if isinstance(a, Fraction) else Fraction(1, a)
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))

@@ -180,19 +180,11 @@ def test_t_and_s_polynomials():
     assert (f * g).quad == f.t_poly().mul(g.s_poly())
 
 
-def test_degree_indices_and_components():
+def test_degree_and_indices():
     e = element(QQ, lin={5: 1}, quad=[("y1*z2", 1), ("y1^2*z1*z3", 2)])
     assert e.degree() == 4
     assert e.indices() == {1, 2, 3, 5}
     assert e.max_index() == 5
-    by_degree = {n: e.homogeneous_component(n) for n in (1, 2, 4)}
-    assert by_degree[1] == element(QQ, lin={5: 1})
-    assert by_degree[2] == quad_element(QQ, ("y1*z2", 1))
-    assert by_degree[4] == quad_element(QQ, ("y1^2*z1*z3", 2))
-    total = BicommElement.zero(QQ)
-    for part in by_degree.values():
-        total = total + part
-    assert total == e
 
 
 def test_split_multihomogeneous():

@@ -3,6 +3,7 @@ built directly from generator actions."""
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -28,6 +29,7 @@ from bicomm.polynomials import Poly
 from conftest import (
     QQ,
     F2,
+    F3,
     F5,
     element,
     quad_element,
@@ -152,6 +154,27 @@ def test_division_identity_and_irreducible_remainder():
                 assert not any(lm.divides(m) for lm in leads)
 
 
+def test_normal_form_equals_the_division_remainder():
+    """The cofactor-free reduction and poly_divmod agree on any divisor
+    list: divisors scaled to be neither monic nor primitive, and zero."""
+    rng = random.Random(413)
+    for field in (QQ, F2, F3):
+        for _ in range(60):
+            p = _random_poly(rng, field, terms=rng.randint(0, 6))
+            divisors = []
+            for _ in range(rng.randint(0, 3)):
+                d = _random_poly(rng, field, terms=rng.randint(0, 3), max_degree=3)
+                c = field.from_int(rng.choice([1, 2, 3, 6, -4]))
+                if field.is_rationals and rng.random() < 0.5:
+                    c = field.div(c, field.from_int(rng.choice([3, 7])))
+                divisors.append(d.scale(c) if c else d)
+            rng.shuffle(divisors)
+            assert poly_normal_form(p, divisors) == poly_divmod(p, divisors)[1]
+            if any(divisors):
+                gb = buchberger(divisors, field)
+                assert poly_normal_form(p, gb) == poly_divmod(p, gb.generators)[1]
+
+
 def test_spolynomial_cancels_the_common_leading_monomial():
     rng = random.Random(402)
     for _ in range(60):
@@ -168,11 +191,13 @@ def test_spolynomial_cancels_the_common_leading_monomial():
 
 def test_buchberger_closes_under_spolynomials():
     rng = random.Random(403)
-    for field in (QQ, F2):
+    for field in (QQ, F2, F3):
         for _ in range(15):
             gens = [_random_poly(rng, field, terms=2, max_degree=3) for _ in range(3)]
             gens = [g for g in gens if not g.is_zero]
             gb = buchberger(gens, field)
+            if field.is_rationals:
+                assert all(type(c) is Fraction for g in gb for c in g.terms.values())
             for g in gens:
                 assert poly_normal_form(g, gb).is_zero
             rows = gb.generators
@@ -390,7 +415,7 @@ def _random_ideal_pieces(rng, field):
 
 def test_incremental_buchberger_equals_from_scratch():
     rng = random.Random(409)
-    for field in (QQ, F5):
+    for field in (QQ, F2, F3, F5):
         for _ in range(12):
             old, new = _random_ideal_pieces(rng, field)
             start = buchberger(old, field)

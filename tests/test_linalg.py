@@ -112,21 +112,6 @@ def test_contains_and_express():
     assert ech.contains({})
 
 
-def test_reduce_vec_is_idempotent_and_in_complement():
-    rng = random.Random(SEED)
-    ech = Echelon(QQ)
-    for _ in range(10):
-        row = {j: QQ.from_int(rng.randint(-2, 2)) for j in range(6)}
-        ech.insert({j: v for j, v in row.items() if v})
-    for _ in range(30):
-        vec = {j: QQ.from_int(rng.randint(-2, 2)) for j in range(6)}
-        vec = {j: v for j, v in vec.items() if v}
-        red = ech.reduce_vec(dict(vec))
-        assert ech.reduce_vec(dict(red)) == red
-        for pivot in ech.pivots():
-            assert pivot not in red
-
-
 def test_custom_sort_key_controls_pivot_choice():
     ech = Echelon(QQ, sort_key=lambda j: -j)
     ech.insert({1: QQ.one, 5: QQ.one})

@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 
 from bicomm.errors import DivisionByZero, FieldMismatch, InvalidField
+from bicomm.monomials import parse_monomial
+from bicomm.polynomials import Poly
 from bicomm.scalars import Field
 
 SEED = 421
@@ -37,6 +39,18 @@ def test_rationals_are_fractions():
     assert q.add(a, q.parse_scalar("1/3")) == 1
     assert q.div(q.one, q.from_int(4)) == Fraction(1, 4)
     assert q.format_scalar(Fraction(-5, 2)) == "-5/2"
+
+
+def test_rational_inverse_of_a_plain_int_is_an_exact_fraction():
+    q = Field.parse("q")
+    for a in (3, -6, Fraction(3)):
+        inv = q.inv(a)
+        assert type(inv) is Fraction and inv * a == 1
+    half = q.div(1, 2)
+    assert type(half) is Fraction and half == Fraction(1, 2)
+    m = parse_monomial("y1*z1")
+    coeff = Poly(q, {m: 3}).monic().terms[m]
+    assert type(coeff) is Fraction and coeff == 1
 
 
 def test_prime_field_inverse_brute_force():
