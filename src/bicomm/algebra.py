@@ -209,18 +209,15 @@ def graded_dimension(d: int, n: int) -> int:
     """Dimension of the degree-n component on d generators.
 
     Degree 1 is spanned by the generators.  For n >= 2 the component is
-    spanned by the mixed monomials Y^a Z^b with |a| + |b| = n, counted by
-    splitting n into the two positive block sizes and counting exponent
-    vectors of each size on d indices.
+    spanned by the mixed monomials Y^a Z^b with |a| + |b| = n: all
+    degree-n monomials in the 2d variables y_i, z_i, less the pure-y and
+    the pure-z ones.
     """
     if d < 0 or n < 1:
         raise ValueError("need d >= 0 and n >= 1")
     if n == 1 or d == 0:
         return d
-    total = 0
-    for a in range(1, n):
-        total += comb(a + d - 1, d - 1) * comb(n - a + d - 1, d - 1)
-    return total
+    return comb(n + 2 * d - 1, 2 * d - 1) - 2 * comb(n + d - 1, d - 1)
 
 
 def multilinear_dimension(n: int) -> int:
@@ -235,4 +232,4 @@ def multilinear_dimension(n: int) -> int:
         raise ValueError("need n >= 1")
     if n == 1:
         return 1
-    return sum(comb(n, k) for k in range(1, n))
+    return 2**n - 2

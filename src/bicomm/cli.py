@@ -3,9 +3,16 @@
 Every subcommand emits a fixed sequence of facts.  Output mode human
 prints one line per fact (bare value, or "label: value" for multi-fact
 commands), tsv prints "key<TAB>value" lines, json prints one object with
-one key per fact (repeated keys collect into arrays).  Exit codes:
-0 success or a true verdict, 1 a false or failing verdict, 2 usage
-error, 3 input or domain error.
+one key per fact (repeated keys collect into arrays).  Output is
+rendered in full before any of it is written, so a command that fails
+writes nothing to stdout.  Exit codes: 0 success or a true verdict, 1 a
+false or failing verdict, 2 usage error, 3 input or domain error,
+including a count with more digits than the interpreter's int-to-str
+limit (`sys.get_int_max_str_digits`).
+
+`main(argv)` returns the exit code and may be called any number of
+times in one process; the argument parser is built on the first call
+and reused.
 
 The BICOMM_THREADS environment variable caps internal parallelism; the
 current implementation is sequential, so any positive value is accepted
@@ -15,7 +22,9 @@ and the results do not depend on it.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import os
 import sys
 
@@ -45,13 +54,12 @@ class _Emitter:
     def emit(self, key: str, value, label: str = "") -> None:
         self.facts.append((key, label, value))
 
-    def flush(self, out) -> None:
+    def render(self) -> str:
         if self.mode == "human":
-            for _, label, value in self.facts:
-                out.write(f"{label}: {value}\n" if label else f"{value}\n")
+            lines = [f"{label}: {value}\n" if label else f"{value}\n"
+                     for _, label, value in self.facts]
         elif self.mode == "tsv":
-            for key, _, value in self.facts:
-                out.write(f"{key}\t{value}\n")
+            lines = [f"{key}\t{value}\n" for key, _, value in self.facts]
         else:
             obj = {}
             for key, _, value in self.facts:
@@ -61,7 +69,8 @@ class _Emitter:
                     obj[key].append(value)
                 else:
                     obj[key] = value
-            out.write(json.dumps(obj) + "\n")
+            lines = [json.dumps(obj) + "\n"]
+        return "".join(lines)
 
 
 def _read_text(path: str) -> str:
@@ -144,12 +153,30 @@ def _cmd_mul(args, em: _Emitter) -> int:
     return 0
 
 
+def _refuse_long_count(factors: int, log10_factor: float, log10_scale: float = 0.0) -> None:
+    """Refuse a count known to be at least 10**(log10_scale + factors *
+    log10_factor) once that bound has more digits than the int-to-str
+    limit allows, so that the count is never built.  A count below the
+    bound but still too long fails when the output is rendered."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and factors >= (limit - log10_scale) / log10_factor:
+        raise BicommError(f"the count exceeds the limit ({limit} digits) for integer string conversion")
+
+
 def _cmd_hilbert(args, em: _Emitter) -> int:
-    em.emit("dimension", graded_dimension(args.d, args.n))
+    d, n = args.d, args.n
+    if d >= 1 and n >= 2:
+        # The count is at least a third of all C(N, k) degree-n monomials
+        # in the 2d variables, N = n + 2d - 1, and C(N, k) >= (N/k)**k.
+        k = min(2 * d - 1, n)
+        _refuse_long_count(k, math.log10(n + 2 * d - 1) - math.log10(k), -math.log10(3))
+    em.emit("dimension", graded_dimension(d, n))
     return 0
 
 
 def _cmd_codim(args, em: _Emitter) -> int:
+    if args.n >= 2:
+        _refuse_long_count(args.n - 1, math.log10(2))  # 2**n - 2 >= 2**(n-1)
     em.emit("dimension", multilinear_dimension(args.n))
     return 0
 
@@ -246,6 +273,7 @@ def _cmd_witt(args, em: _Emitter) -> int:
 # --- parser -----------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -349,13 +377,11 @@ def main(argv=None) -> int:
     try:
         _thread_cap()
         code = args.handler(args, em)
-    except BicommError as e:
+        text = em.render()
+    except (BicommError, ValueError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 3
-    except ValueError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return 3
-    em.flush(sys.stdout)
+    sys.stdout.write(text)
     return code
 
 

@@ -223,10 +223,15 @@ def _eval_tree(t, args: dict, alg: StructureAlgebra, ops: tuple) -> dict:
 def _eval_poly(terms: list, args: dict, alg: StructureAlgebra, ops: tuple) -> dict:
     """Value of a polynomial, given as its (tree, scalar) terms, at one
     argument tuple."""
+    return _combine(((_eval_tree(t, args, alg, ops), c) for t, c in terms), ops)
+
+
+def _combine(pairs, ops: tuple) -> dict:
+    """Sum of c * value over (value, scalar c) pairs."""
     add, _, scale = ops
     acc = {}
-    for t, c in terms:
-        for k, v in _eval_tree(t, args, alg, ops).items():
+    for value, c in pairs:
+        for k, v in value.items():
             w = scale(c, v)
             if k in acc:
                 w = add(acc[k], w)
@@ -294,6 +299,52 @@ def _multilinear_variables(f: NAPolynomial) -> list:
     return sorted(varset or ())
 
 
+def _first_nonzero_basis_tuple(terms: list, variables: list, alg: StructureAlgebra, ops: tuple):
+    """First tuple of basis indices, in itertools.product order, at which
+    the multilinear polynomial with these (tree, scalar) terms is nonzero,
+    or None.
+
+    The values of the two root subtrees of each term are memoized by the
+    subtree and the basis indices at its leaves, so only the root
+    products and the term sum are computed afresh for every tuple.  A
+    root subtree lacks at least one of the n variables, so its memo holds
+    at most dim**(n-1) values.
+    """
+    basis = [alg.basis_element(i) for i in range(alg.dim)]
+    position = {k: p for p, k in enumerate(variables)}
+    memos = {}  # subtree -> {basis indices at its leaves: value}
+
+    def side(s):
+        leaves = term_leaves(s)
+        return s, leaves, [position[k] for k in leaves], memos.setdefault(s, {})
+
+    def value(part, witness):
+        s, leaves, positions, memo = part
+        coords = tuple([witness[p] for p in positions])
+        got = memo.get(coords)
+        if got is None:
+            args = {k: basis[i] for k, i in zip(leaves, coords)}
+            got = memo[coords] = _eval_tree(s, args, alg, ops)
+        return got
+
+    plan = []
+    for t, c in terms:
+        if isinstance(t, Node):
+            plan.append((side(t.left), side(t.right), c))
+        else:  # a lone variable, in an identity of one variable
+            plan.append((side(t), None, c))
+    for witness in itertools.product(range(alg.dim), repeat=len(variables)):
+        values = []
+        for left, right, c in plan:
+            v = value(left, witness)
+            if right is not None:
+                v = _product(alg.table, ops, v, value(right, witness))
+            values.append((v, c))
+        if _combine(values, ops):
+            return witness
+    return None
+
+
 def check_identity(
     f: NAPolynomial,
     alg: StructureAlgebra,
@@ -315,11 +366,8 @@ def check_identity(
         variables = _multilinear_variables(f)
         if not variables:
             return CheckResult(f.is_zero, None, mode)
-        for witness in itertools.product(range(alg.dim), repeat=len(variables)):
-            args = {k: alg.basis_element(i) for k, i in zip(variables, witness)}
-            if _eval_poly(terms, args, alg, ops):
-                return CheckResult(False, witness, mode)
-        return CheckResult(True, None, mode)
+        witness = _first_nonzero_basis_tuple(terms, variables, alg, ops)
+        return CheckResult(witness is None, witness, mode)
     variables = sorted(f.variables())
     if mode == "symbolic":
         # the coordinate of e_i in the pos-th variable is the indeterminate

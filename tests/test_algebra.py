@@ -8,6 +8,7 @@ bracketed word collapses to a single monomial with coefficient one.
 
 import random
 from itertools import combinations_with_replacement, permutations, product
+from math import comb
 
 import pytest
 
@@ -139,6 +140,20 @@ def test_multilinear_dimension_by_enumeration():
         assert len(seen) == multilinear_dimension(n)
         assert multilinear_dimension(n) == 2 ** n - 2
     assert multilinear_dimension(1) == 1
+
+
+def test_closed_form_dimensions_match_the_sums():
+    """The closed forms agree with the block-size sums they replaced."""
+
+    def graded_by_blocks(d, n):
+        if n == 1 or d == 0:
+            return d
+        return sum(comb(a + d - 1, d - 1) * comb(n - a + d - 1, d - 1) for a in range(1, n))
+
+    for n in range(1, 41):
+        assert multilinear_dimension(n) == (1 if n == 1 else sum(comb(n, k) for k in range(1, n)))
+        for d in range(0, 7):
+            assert graded_dimension(d, n) == graded_by_blocks(d, n), (d, n)
 
 
 def test_normalize_is_linear_in_the_input():

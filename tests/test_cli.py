@@ -1,10 +1,11 @@
 """End-to-end command-line checks with frozen outputs."""
 
 import json
+import sys
 
 import pytest
 
-from bicomm.cli import main
+from bicomm.cli import _build_parser, main
 
 from conftest import QQ
 
@@ -43,6 +44,13 @@ def test_dimension_commands_and_output_modes(capsys):
     code, out, _ = run(capsys, "codim", "-n", "4", "--output", "json")
     assert code == 0
     assert json.loads(out) == {"dimension": 14}
+    # the longest count the default int-to-str limit of 4300 digits prints
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert run(capsys, "codim", "-n", "14284") == (0, f"{2**14284 - 2}\n", "")
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_order_comparisons(capsys):
@@ -186,6 +194,58 @@ def test_exit_codes_for_errors(tmp_path, capsys):
         )
         assert (code, out) == (3, ""), obj
         assert err.startswith("error: "), obj
+    # counts too long to print under the int-to-str limit: refused before
+    # they are built (codim, the first hilbert) or when the output is rendered
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for argv in (
+            ["codim", "-n", "14400"],
+            ["codim", "-n", "14285"],
+            ["codim", "-n", "9" * 4000, "--output", "tsv"],
+            ["hilbert", "-d", "10000", "-n", "10000"],
+            ["hilbert", "-d", "9" * 400, "-n", "9" * 400],
+            ["hilbert", "-d", "7000", "-n", "7000", "--output", "json"],
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (3, ""), argv[:3]
+            assert err.startswith("error: ") and "4300 digits" in err, argv[:3]
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_repeated_calls_share_one_parser(tmp_path, capsys):
+    """main builds its parser once per process; usage errors, help, domain
+    errors and every output mode behave the same on every call."""
+    gens = tmp_path / "comm.txt"
+    gens.write_text("(x1*x2) - (x2*x1)\n")
+    sequence = [
+        ["codim"],
+        ["--help"],
+        ["normalize", "x1*x2*x3"],
+        ["normalize", "x1*(x1*x2) - (x1*x1)*x2"],
+        ["hilbert", "-d", "2", "-n", "3", "--output", "tsv"],
+        ["no-such-command"],
+        ["codim", "-n", "5", "--output", "json"],
+        ["specht-search", "--help"],
+        ["ideal-member", "--gens", str(gens), "--elem", "(x1*x2)*x2 - (x2*x1)*x2", "--verbose"],
+        ["specht-search", "--gens", str(gens), "--max-deg", "4", "--max-vars", "2",
+         "--output", "json"],
+        ["normalize", "(x1*x2)", "--field", "fp:4"],
+        ["mul", "x1", "--output", "xml"],
+        ["codim"],
+    ]
+    _build_parser.cache_clear()
+    first = {}
+    for _ in range(2):
+        for argv in sequence:
+            got = run(capsys, *argv)
+            assert got == first.setdefault(tuple(argv), got), argv
+    assert _build_parser.cache_info().misses == 1
+    codes = {code for code, _, _ in first.values()}
+    assert codes == {0, 2, 3}
+    assert first[("--help",)][1].startswith("usage: bicomm")
+    assert first[("codim",)][2].startswith("usage: bicomm codim")
 
 
 def test_thread_cap_env(monkeypatch, capsys):

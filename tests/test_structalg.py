@@ -3,6 +3,7 @@ compared against a polynomial model of the truncated derivation algebra
 and against the normal form of the free algebra itself."""
 
 import random
+from itertools import product
 
 import pytest
 
@@ -379,3 +380,49 @@ def test_symbolic_mode_matches_a_sympy_expansion():
                     continue
                 assert exhaustive.holds == symbolic.holds, (field, alg, str(f))
     assert checked[True] and checked[False]
+
+
+def _first_failing_tuple(f, alg):
+    """Reference multilinear check: evaluate f at every basis tuple in
+    itertools.product order and return the first nonzero one."""
+    variables = sorted(f.variables())
+    for witness in product(range(alg.dim), repeat=len(variables)):
+        args = {k: alg.basis_element(i) for k, i in zip(variables, witness)}
+        if evaluate_polynomial(f, args, alg):
+            return witness
+    return None
+
+
+def _random_multilinear_identity(rng, field):
+    """1 to 4 terms with random bracketings of the same 1 to 4 variables."""
+    n = rng.randint(1, 4)
+    f = NAPolynomial.zero(field)
+    for _ in range(rng.randint(1, 4)):
+        term = NAPolynomial.term(field, _random_tree(rng, rng.sample(range(1, n + 1), n)))
+        f = f.add_scaled(random_scalar(rng, field, nonzero=True), term)
+    return f
+
+
+def test_multilinear_witness_matches_the_tuple_by_tuple_reference():
+    rng = random.Random(808)
+    x1, x2, x3 = Leaf(1), Leaf(2), Leaf(3)
+    seen = set()
+    for field in (QQ, F2, F3):
+        # e0 * e0 = e0: the commutator holds, a lone product fails at tuple 0
+        idem = StructureAlgebra(2, field, {(0, 0): [field.one, field.zero]})
+        cases = [
+            (left_commutativity(field), witt_truncated(4, field)),
+            (NAPolynomial.term(field, Node(x1, x2)).sub(NAPolynomial.term(field, Node(x2, x1))),
+             idem),
+            (NAPolynomial.term(field, Node(Node(x1, x3), x2)), idem),
+        ]
+        for dim in range(1, 6):
+            for _ in range(3):
+                alg = _random_table_algebra(rng, field, dim)
+                cases += [(_random_multilinear_identity(rng, field), alg) for _ in range(5)]
+        for f, alg in cases:
+            want = _first_failing_tuple(f, alg)
+            got = check_identity(f, alg)
+            assert (got.holds, got.witness) == (want is None, want), (str(f), alg)
+            seen.add("holds" if want is None else "at 0" if not any(want) else "later")
+    assert seen == {"holds", "at 0", "later"}
