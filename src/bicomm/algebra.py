@@ -15,6 +15,11 @@ identity f * g = t(f) s(g), which is how multiplication is implemented.
 The square of the algebra is therefore commutative and associative, and
 left/right multiplications by the generators act on it as multiplication
 by y_i and z_j.
+
+Unfolded over a tree, the rule gives the slot rule: a lone leaf x_i stays
+x_i, and a tree with two or more leaves is one mixed monomial with
+coefficient 1, with y_i for each leaf x_i that is the left factor of its
+own product and z_i for each right factor: x1*(x2*x3) -> y1 y2 z3.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from .errors import BadElement, FieldMismatch
 from .monomials import Monomial, check_index_map
 from .polynomials import Poly, format_terms, product_of_terms
 from .scalars import Field
-from .terms import Leaf, NAPolynomial, NATerm
+from .terms import Leaf, NAPolynomial, NATerm, _symbols
 
 
 class BicommElement:
@@ -144,15 +149,12 @@ class BicommElement:
         Returns a dict mapping the sparse multidegree ((index, deg), ...)
         to the corresponding part; linear terms get multidegree ((i, 1),).
         """
-        parts = {}
-        for i, c in self.lin.items():
-            key = ((i, 1),)
-            cur = parts.get(key, BicommElement.zero(self.field))
-            parts[key] = cur + BicommElement(self.field, {i: c})
+        parts = {((i, 1),): BicommElement(self.field, {i: c}) for i, c in self.lin.items()}
+        quads = {}
         for m, c in self.quad.terms.items():
-            key = m.multidegree()
-            cur = parts.get(key, BicommElement.zero(self.field))
-            parts[key] = cur + BicommElement.from_quad(Poly(self.field, {m: c}))
+            quads.setdefault(m.multidegree(), {})[m] = c
+        for key, terms in quads.items():
+            parts[key] = BicommElement.from_quad(Poly(self.field, terms))
         return parts
 
     def __eq__(self, other):
@@ -178,31 +180,33 @@ class BicommElement:
 
 
 def normalize_term(t: NATerm, field: Field) -> BicommElement:
-    """Canonical form of a single tree, by folding the product rules.
-
-    The fold runs on an explicit stack, where a None mark multiplies the
-    last two finished normal forms.
-    """
-    done = []
-    todo = [t]
-    while todo:
-        s = todo.pop()
-        if s is None:
-            right = done.pop()
-            done[-1] = done[-1].multiply(right)
-        elif isinstance(s, Leaf):
-            done.append(BicommElement.generator(field, s.index))
-        else:
-            todo += (None, s.right, s.left)
-    return done[0]
+    """Canonical form of a single tree: normalize of the one-term sum."""
+    return normalize(NAPolynomial.term(field, t))
 
 
 def normalize(poly: NAPolynomial) -> BicommElement:
-    """Canonical form of a formal combination of trees."""
-    out = BicommElement.zero(poly.field)
+    """Canonical form of a formal combination of trees, in linear time:
+    each tree is read off its leaves by the slot rule (module docstring)
+    and the coefficients are summed into one dict per part."""
+    field = poly.field
+    add, zero = field.add, field.zero
+    lin, quad = {}, {}
     for t, c in poly.terms.items():
-        out = out.add_scaled(c, normalize_term(t, poly.field))
-    return out
+        if isinstance(t, Leaf):
+            acc, key = lin, t.index
+        else:
+            ys, zs, prev = [], [], None
+            for s in _symbols(t):
+                if isinstance(s, Leaf):  # a left factor follows '(', a right one '*'
+                    (ys if prev == "(" else zs).append((s.index, 1))
+                prev = s
+            acc, key = quad, Monomial(ys, zs)
+        v = add(acc.get(key, zero), c)
+        if v:
+            acc[key] = v
+        else:
+            del acc[key]
+    return BicommElement(field, lin, Poly(field, quad))
 
 
 def graded_dimension(d: int, n: int) -> int:

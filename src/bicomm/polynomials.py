@@ -97,12 +97,6 @@ class Poly:
     def sub(self, other: "Poly") -> "Poly":
         return self.add_scaled(self.field.neg(self.field.one), other)
 
-    def neg(self) -> "Poly":
-        neg = self.field.neg
-        out = Poly(self.field)
-        out.terms = {m: neg(c) for m, c in self.terms.items()}
-        return out
-
     def scale(self, coeff) -> "Poly":
         if not coeff:
             return Poly.zero(self.field)

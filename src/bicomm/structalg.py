@@ -28,11 +28,11 @@ from .terms import Leaf, NAPolynomial, Node, term_leaves
 
 
 def _json_int(raw) -> int:
-    """An integer from a JSON value; strings and numbers are accepted."""
-    try:
+    """An integer from a JSON integer or string; a float, a boolean or any
+    other value is refused, since int() would truncate or coerce it."""
+    if isinstance(raw, str) or isinstance(raw, int) and not isinstance(raw, bool):
         return int(raw)
-    except TypeError:
-        raise BadAlgebra(f"expected an integer in the algebra JSON, got {raw!r}") from None
+    raise BadAlgebra(f"expected an integer in the algebra JSON, got {raw!r}")
 
 
 class StructureAlgebra:

@@ -384,12 +384,13 @@ def t_ideal_member_bounded(f: BicommElement, gens, window: ClosureWindow) -> boo
 def lift_weight(f: BicommElement, target: Monomial) -> BicommElement:
     """Element of the substitution closure of f with weight exactly target.
 
-    Built the way the weight calculus prescribes: relabel the indices of
-    f along the greedy embedding of wt(f) into target, then apply one
-    left multiplication by x_k per missing y_k and one right
-    multiplication per missing z_k.  Both moves multiply the weight by
-    the corresponding variable, so the result's weight is target and its
-    leading coefficient equals that of f.
+    Relabel f along the greedy embedding of wt(f) into target, giving h,
+    and let q be target over the relabeled weight.  Left multiplications
+    by x_k for the y_k of q and right ones for its z_k collapse, by
+    f * g = t(f) s(g), to one product: q s(h) when q has a y factor,
+    q t(h) when it has only z factors, and h when q = 1.  The weight is
+    then target and the leading coefficient that of f, unless a linear
+    term of f times q outranks target, which the final check refuses.
     """
     wt, _ = weight_of(f)
     phi = higman_embedding(wt, target)
@@ -408,13 +409,10 @@ def lift_weight(f: BicommElement, target: Monomial) -> BicommElement:
     h = f.apply_index_map(total)
     mapped_wt = wt.apply_index_map({i: phi[i] for i in range(1, wt.max_index + 1)})
     q = target.div(mapped_wt)
-    field = f.field
-    for k, e in q.ys:
-        for _ in range(e):
-            h = BicommElement.generator(field, k) * h
-    for k, e in q.zs:
-        for _ in range(e):
-            h = h * BicommElement.generator(field, k)
+    if q.ys:
+        h = BicommElement.from_quad(h.s_poly().mul_monomial(q))
+    elif q.zs:
+        h = BicommElement.from_quad(h.t_poly().mul_monomial(q))
     if weight_of(h)[0] != target:
         raise AssertionError("lift produced the wrong weight")
     return h

@@ -11,6 +11,8 @@ from itertools import combinations_with_replacement, permutations, product
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bicomm.algebra import (
     BicommElement,
@@ -22,10 +24,16 @@ from bicomm.algebra import (
 from bicomm.errors import BadElement, InvalidIndexMap
 from bicomm.monomials import Monomial, parse_monomial as pm
 from bicomm.polynomials import Poly
-from bicomm.terms import Leaf, Node, parse_expression
+from bicomm.terms import Leaf, NAPolynomial, Node, parse_expression, print_term
 from conftest import QQ, F2, F3, element, quad_element, random_element, random_quad_element
 
 SEED = 3571
+
+# random trees of up to 12 leaves over x1..x4, and the three test fields
+_trees = st.recursive(
+    st.builds(Leaf, st.integers(1, 4)), lambda sub: st.builds(Node, sub, sub), max_leaves=12
+)
+_fields = st.sampled_from([QQ, F2, F3])
 
 
 def _shapes(n, start=1):
@@ -60,6 +68,57 @@ def _oracle_monomial(t):
     walk(t.left, ys)
     walk(t.right, zs)
     return Monomial(ys.items(), zs.items())
+
+
+def _fold_normal_form(t, field):
+    """Reference normal form that shares no code with the slot rule: fold
+    BicommElement.multiply over the tree on an explicit stack, where a None
+    mark multiplies the last two finished normal forms."""
+    done = []
+    todo = [t]
+    while todo:
+        s = todo.pop()
+        if s is None:
+            right = done.pop()
+            done[-1] = done[-1].multiply(right)
+        elif isinstance(s, Leaf):
+            done.append(BicommElement.generator(field, s.index))
+        else:
+            todo += (None, s.right, s.left)
+    return done[0]
+
+
+def _normalize_by_terms(poly):
+    """Reference normalize: add the folded normal forms term by term."""
+    out = BicommElement.zero(poly.field)
+    for t, c in poly.terms.items():
+        out = out.add_scaled(c, _fold_normal_form(t, poly.field))
+    return out
+
+
+def _twin(t):
+    """A tree with the same normal form as t, by right commutativity
+    (ab)c = (ac)b or left commutativity a(bc) = b(ac) at the root."""
+    if isinstance(t, Node) and isinstance(t.left, Node):
+        return Node(Node(t.left.left, t.right), t.left.right)
+    if isinstance(t, Node) and isinstance(t.right, Node):
+        return Node(t.right.left, Node(t.left, t.right.right))
+    return t
+
+
+@st.composite
+def _polys(draw):
+    """Random NAPolynomial; a term drawn with cancel=True also subtracts its
+    twin, so that normal forms of distinct trees cancel in the sum."""
+    field = draw(_fields)
+    p = NAPolynomial.zero(field)
+    for t, c, cancel in draw(st.lists(st.tuples(_trees, st.integers(-4, 4), st.booleans()),
+                                      max_size=8)):
+        c = field.from_int(c)
+        p = p.add(NAPolynomial(field, {t: c}))
+        if cancel:
+            p = p.sub(NAPolynomial(field, {_twin(t): c}))
+    return p
 
 
 def test_product_rule_examples():
@@ -101,6 +160,26 @@ def test_normalize_term_matches_child_side_oracle():
                 got = normalize_term(t, QQ)
                 assert not got.lin
                 assert got.quad.terms == {_oracle_monomial(t): QQ.one}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trees, _trees, _fields)
+def test_normal_form_of_a_product_is_the_product_of_normal_forms(left, right, field):
+    """The slot rule agrees with multiply's t(f) s(g) rule at every root."""
+    got = normalize_term(Node(left, right), field)
+    assert got == normalize_term(left, field) * normalize_term(right, field)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_polys())
+def test_normalize_matches_the_term_by_term_fold(poly):
+    assert normalize(poly) == _normalize_by_terms(poly)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trees, _fields)
+def test_printed_tree_parses_back_to_itself(t, field):
+    assert parse_expression(print_term(t), field) == NAPolynomial.term(field, t)
 
 
 def test_bracketing_rank_equals_graded_dimension():
@@ -217,6 +296,42 @@ def test_split_multihomogeneous():
             continue
         for m in part.quad.terms:
             assert m.multidegree() == key
+
+
+def _split_by_terms(e):
+    """Reference split: add each term to the running sum of its part."""
+    parts = {}
+    zero = BicommElement.zero(e.field)
+    for i, c in e.lin.items():
+        key = ((i, 1),)
+        parts[key] = parts.get(key, zero) + BicommElement(e.field, {i: c})
+    for m, c in e.quad.terms.items():
+        key = m.multidegree()
+        parts[key] = parts.get(key, zero) + BicommElement.from_quad(Poly(e.field, {m: c}))
+    return parts
+
+
+def test_split_multihomogeneous_matches_the_term_by_term_split():
+    rng = random.Random(SEED)
+    cases = [
+        random_element(rng, field, max_index=4, terms=12)
+        for field in (QQ, F2, F3)
+        for _ in range(40)
+    ]
+    # 4,000 multilinear terms of one multidegree: y on the set bits, z on the rest
+    big = {}
+    for bits in range(1, 4001):
+        ys = [(i, 1) for i in range(1, 13) if bits >> (i - 1) & 1]
+        zs = [(i, 1) for i in range(1, 13) if not bits >> (i - 1) & 1]
+        big[Monomial(ys, zs)] = QQ.from_int(rng.choice([-2, -1, 1, 3]))
+    cases.append(BicommElement.from_quad(Poly(QQ, big)))
+    for e in cases:
+        parts = e.split_multihomogeneous()
+        assert parts == _split_by_terms(e)
+        total = BicommElement.zero(e.field)
+        for part in parts.values():
+            total = total + part
+        assert total == e
 
 
 def test_apply_index_map_on_elements():

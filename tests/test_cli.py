@@ -185,10 +185,16 @@ def test_exit_codes_for_errors(tmp_path, capsys):
         {"dim": 2, "field": "q", "table": [[0, 1]]},
         {"dim": 2, "field": "q", "table": [[0, 1, 1]]},
         {"dim": 2, "field": "q", "table": [[None, 1, [1, 0]]]},
+        # only JSON integers and strings are integers: int() would truncate
+        # 0.5 to 0 and 1.9 to 1, read true as 1, and overflow on 1e400
+        {"dim": 1, "field": "q", "table": [[0, 0, [0.5]]]},
+        '{"dim": 1, "field": "q", "table": [[0, 0, [1e400]]]}',
+        {"dim": 1, "field": "q", "table": [[0, 0, [True]]]},
+        {"dim": 1.9, "field": "q", "table": []},
     ]
     for k, obj in enumerate(bad_algebras):
         path = tmp_path / f"bad{k}.json"
-        path.write_text(json.dumps(obj))
+        path.write_text(obj if isinstance(obj, str) else json.dumps(obj))
         code, out, err = run(
             capsys, "check-identity", "--algebra", str(path), "--identity", "(x1*x2) - (x2*x1)"
         )

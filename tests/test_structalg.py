@@ -296,6 +296,8 @@ def test_json_round_trip_and_layout():
     numeric = StructureAlgebra.from_json_obj({"dim": 1, "field": "fp:5", "table": [[0, 0, [3]]]})
     textual = StructureAlgebra.from_json_obj({"dim": 1, "field": "fp:5", "table": [[0, 0, ["3"]]]})
     assert numeric == textual
+    spelled = StructureAlgebra.from_json_obj({"dim": "1", "field": "fp:5", "table": [["0", 0, [3]]]})
+    assert spelled == numeric
 
 
 def _random_table_algebra(rng, field, dim):

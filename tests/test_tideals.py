@@ -6,12 +6,14 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bicomm.algebra import BicommElement, normalize
 from bicomm.errors import NotDominated, UnsupportedGenerator, WindowTooSmall, WrongCharacteristic
 from bicomm.linalg import Echelon
 from bicomm.monomials import Monomial, parse_monomial
-from bicomm.orders import higman_leq, weight_key, weight_of
+from bicomm.orders import higman_embedding, higman_leq, weight_key, weight_of
 from bicomm.polynomials import Poly
 from bicomm.terms import parse_expression
 from bicomm.tideals import (
@@ -227,6 +229,56 @@ def test_lift_weight_with_a_linear_part():
     f = element(QQ, lin={1: 1}, quad=[("y1*z1", 1)])
     lifted = lift_weight(f, parse_monomial("y1^2*z1"))
     assert lifted == quad_element(QQ, ("y1*z1", 1), ("y1^2*z1", 1))
+
+
+def _lift_by_generators(f, target):
+    """Reference lift: relabel along the greedy embedding, then multiply
+    by x_k on the left per y_k and on the right per z_k of the quotient."""
+    wt, _ = weight_of(f)
+    phi = higman_embedding(wt, target)
+    total, prev = {}, 0
+    for i in sorted(f.indices()):
+        prev = total[i] = phi.get(i, prev + 1)
+    h = f.apply_index_map(total)
+    q = target.div(wt.apply_index_map({i: phi[i] for i in range(1, wt.max_index + 1)}))
+    for k, e in q.ys:
+        for _ in range(e):
+            h = BicommElement.generator(f.field, k) * h
+    for k, e in q.zs:
+        for _ in range(e):
+            h = h * BicommElement.generator(f.field, k)
+    return h
+
+
+_exponents = st.dictionaries(st.integers(1, 3), st.integers(1, 2), min_size=1, max_size=2)
+
+
+@st.composite
+def _lift_cases(draw):
+    """An element with an optional linear part, and a target wt(f) * q with
+    the quotient q equal to 1, y-only, z-only or mixed."""
+    field = draw(st.sampled_from([QQ, F2, F3]))
+    quad = {}
+    for ys, zs, c in draw(st.lists(st.tuples(_exponents, _exponents, st.integers(-4, 4)),
+                                   min_size=1, max_size=4)):
+        quad[Monomial(ys.items(), zs.items())] = field.from_int(c) or field.one
+    lin = draw(st.dictionaries(st.integers(1, 4), st.integers(1, 4), max_size=2))
+    lin = {i: field.from_int(c) for i, c in lin.items()}
+    f = BicommElement(field, lin, Poly(field, quad))
+    kind = draw(st.sampled_from(["1", "y", "z", "yz"]))
+    ys = draw(_exponents) if "y" in kind else {}
+    zs = draw(_exponents) if "z" in kind else {}
+    return f, weight_of(f)[0] * Monomial(ys.items(), zs.items())
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lift_cases())
+def test_lift_weight_matches_the_generator_multiplications(case):
+    f, target = case
+    expected = _lift_by_generators(f, target)
+    # a linear term times q can outrank the target; lift_weight refuses those
+    assume(weight_of(expected)[0] == target)
+    assert lift_weight(f, target) == expected
 
 
 def test_lift_weight_rejects_non_dominated_targets():
