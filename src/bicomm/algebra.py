@@ -82,7 +82,7 @@ class BicommElement:
         return out
 
     def max_index(self) -> int:
-        return max(self.indices(), default=0)
+        return max(max(self.lin, default=0), self.quad.max_index())
 
     def t_poly(self) -> Poly:
         """Linear part as y-variables, plus the quadratic part."""

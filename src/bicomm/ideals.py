@@ -23,10 +23,11 @@ from __future__ import annotations
 import heapq
 import math
 
+from . import monomials
 from .algebra import BicommElement
 from .errors import BadChain, UnsupportedGenerator
 from .linalg import Echelon
-from .monomials import Monomial
+from .monomials import Monomial, _monomial
 from .orders import weight_key
 from .polynomials import Poly
 from .scalars import Field
@@ -284,21 +285,37 @@ def buchberger(gens, field: Field | None = None, start: GroebnerBasis | None = N
     """Reduced Groebner basis under the weight order.
 
     With start, the reduced basis of some ideal I, the result is the
-    reduced basis of I + (gens).  Each new polynomial is first reduced by
-    the basis so far and dropped if it vanishes; only pairs involving a
-    new element are queued, and pairs inside start count as treated for
-    the chain criterion, since start is already closed under S-polynomials.
+    reduced basis of I + (gens).
 
-    S-pairs are selected by smallest lcm (normal strategy) with index
-    tiebreak; pairs with coprime leading monomials are skipped, as are
-    pairs covered by the chain criterion (some earlier-treated element
-    divides the lcm and both side pairs were already treated).  The
-    final basis is minimalized, interreduced, made monic and sorted, so
-    the result is the unique reduced basis of the ideal.
+    Buchberger's algorithm with the Gebauer-Moeller criteria, in the
+    UPDATE form of Becker & Weispfenning, *Groebner Bases* (1993).  The
+    inputs are installed one by one: over start, which is already closed
+    under S-polynomials, each is first reduced by the basis so far and
+    dropped if it vanishes.  Installing an element h appends it to the
+    basis as an active element and prunes the S-pairs once, there:
 
-    All of it runs on integer forms (see _row), fraction-free: over the
-    rationals the coefficients stay coprime integers, and only the
-    emitted basis is made monic.
+    * M and F: of the new pairs (g, h), g active, a pair is dropped when
+      the lcm of another new pair divides its lcm; of equal lcms one pair
+      is kept, and none if one of them has coprime leading monomials.
+      Coprime pairs are never queued: their S-polynomials reduce to zero.
+    * B: a pending pair (f, g) is dropped when lm(h) divides its lcm,
+      unless that lcm equals the lcm of (f, h) or of (g, h).
+    * Active elements whose leading monomial lm(h) divides become
+      inactive: they form no more pairs, but stay in the basis and
+      reduce like any other.
+
+    Pending pairs are selected by smallest lcm (normal strategy) with
+    index tiebreak, and each S-polynomial that does not reduce to zero by
+    the whole basis is installed.  The final basis is minimalized,
+    interreduced, made monic and sorted, so the result is the unique
+    reduced basis of the ideal.
+
+    The pair queue works on packed leading monomials (see monomials): an
+    entry (Y, Z, i, j) is the pair i < j whose lcm packs to (Y, Z), so
+    the heap order is the weight order of the lcms.  The rest runs on
+    integer forms (see _row), fraction-free: over the rationals the
+    coefficients stay coprime integers, and only the emitted basis is
+    made monic.
     """
     polys = [p for p in gens if not p.is_zero]
     if field is None:
@@ -312,62 +329,84 @@ def buchberger(gens, field: Field | None = None, start: GroebnerBasis | None = N
         field.check_same(start.field)
     for p in polys:
         field.check_same(p.field)
+    return _groebner(field, [_poly_row(p) for p in polys], start)
 
+
+def _groebner(field: Field, rows, start: GroebnerBasis | None = None) -> GroebnerBasis:
+    """buchberger on nonzero integer rows (see _row) of gens."""
     char = field.characteristic
     basis = list(start._integer_rows()) if start is not None else []
     old = len(basis)
+    leads = [(g[0]._y, g[0]._z) for g in basis]
+    active = list(range(old))  # a reduced start: no lead divides another
+    pairs = []
+    # products, quotients and lcms of covered monomials stay covered, so
+    # the mask does not change while the basis grows
+    guard = monomials._guard
+    fieldmax = monomials._fieldmax
+
+    def divides(y, z, by, bz):
+        """Whether the packed monomial (y, z) divides (by, bz)."""
+        dy, dz = by - y, bz - z
+        return dy >= 0 and dz >= 0 and not (dy & guard or dz & guard)
+
+    def install(h):
+        k = len(basis)
+        hy, hz = h[0]._y, h[0]._z
+        basis.append(h)
+
+        def equal_lcm(i, y, z):
+            """Whether lead i and lm(h) have the lcm (y, z)."""
+            ly, lz = leads[i]
+            return fieldmax(ly, hy) == y and fieldmax(lz, hz) == z
+
+        kept = [
+            (y, z, i, j)
+            for y, z, i, j in pairs
+            if not divides(hy, hz, y, z) or equal_lcm(i, y, z) or equal_lcm(j, y, z)
+        ]  # criterion B
+        if len(kept) < len(pairs):
+            heapq.heapify(kept)
+            pairs[:] = kept
+        # new pairs by ascending lcm, coprime ones first among equal lcms;
+        # divisibility implies the weight order, so only earlier lcms divide
+        new = []
+        for i in active:
+            ly, lz = leads[i]
+            y, z = fieldmax(ly, hy), fieldmax(lz, hz)
+            new.append((y, z, y != ly + hy or z != lz + hz, i))
+        new.sort()
+        minimal = []
+        for y, z, shared, i in new:
+            if not any(divides(my, mz, y, z) for my, mz in minimal):  # criteria M and F
+                minimal.append((y, z))
+                if shared:
+                    heapq.heappush(pairs, (y, z, i, k))
+        active[:] = [i for i in active if not divides(hy, hz, *leads[i])]
+        active.append(k)
+        leads.append((hy, hz))
+
     seen = set()
-    for p in polys:
+    for q in rows:
         if start is not None:
-            rem, _ = _reduce(_integral(p)[0], basis, char)
+            lm, lc, tail = q
+            work = dict(tail)
+            work[lm] = lc
+            rem, _ = _reduce(work, basis, char)
             if not rem:
                 continue
             q = _row(rem, char)
-        else:
-            q = _poly_row(p)
         if q not in seen:
             seen.add(q)
-            basis.append(q)
+            install(q)
     if start is not None and len(basis) == old:
         return _basis_of_rows(field, basis)
 
-    lead = [g[0] for g in basis]
-    pairs = []
-    for j in range(old, len(basis)):
-        for i in range(j):
-            lcm = lead[i].lcm(lead[j])
-            heapq.heappush(pairs, (weight_key(lcm), i, j, lcm))
-    done = set()
-
-    def treated(a, b):
-        if a > b:
-            a, b = b, a
-        return b < old or (a, b) in done
-
     while pairs:
-        _, i, j, lcm = heapq.heappop(pairs)
-        done.add((i, j))
-        if lcm == lead[i] * lead[j]:
-            continue  # coprime leading monomials: S-polynomial reduces to 0
-        covered = any(
-            k != i
-            and k != j
-            and lead[k].divides(lcm)
-            and treated(i, k)
-            and treated(j, k)
-            for k in range(len(basis))
-        )
-        if covered:
-            continue  # chain criterion: S-polynomial already accounted for
-        r, _ = _reduce(_spair(basis[i], basis[j], lcm, char), basis, char)
-        if not r:
-            continue
-        basis.append(_row(r, char))
-        k = len(basis) - 1
-        lead.append(basis[k][0])
-        for i2 in range(k):
-            lcm = lead[i2].lcm(lead[k])
-            heapq.heappush(pairs, (weight_key(lcm), i2, k, lcm))
+        y, z, i, j = heapq.heappop(pairs)
+        r, _ = _reduce(_spair(basis[i], basis[j], _monomial(y, z), char), basis, char)
+        if r:
+            install(_row(r, char))
 
     return _basis_of_rows(field, _reduce_basis(basis, char))
 
@@ -438,7 +477,7 @@ class TwoSidedPresentation:
     multiples of their quadratic parts, and pi is those quadratic parts.
     """
 
-    __slots__ = ("field", "generators", "side", "lin_echelon", "_cache", "_seeds", "_pi_raw")
+    __slots__ = ("field", "generators", "side", "var_range", "lin_echelon", "_cache", "_seeds", "_pi_raw")
 
     def __init__(self, generators, field: Field | None = None, side: str = "two"):
         if side not in _SIDES:
@@ -453,6 +492,7 @@ class TwoSidedPresentation:
         self.field = field
         self.generators = gens
         self.side = side
+        self.var_range = max([1] + [g.max_index() for g in gens])
         self.lin_echelon = Echelon(field)
         self._cache = {}
         # range -> (basis of a smaller ideal, generators it lacks)
@@ -477,29 +517,28 @@ class TwoSidedPresentation:
                 out._seeds[d] = (gb, new)
         return out
 
-    def _module_gens(self, gens, d: int) -> list:
-        """Generators of the module ideal contributed by gens, indices up to d."""
+    def _module_rows(self, gens, d: int) -> list:
+        """Generators of the module ideal contributed by gens, indices up
+        to d, as distinct integer rows (see _row): the rows of s(g) and
+        t(g) (two-sided) or of the quadratic part (one-sided), shifted by
+        y_j and z_j.  A shift keeps a row's order and canonical form."""
         out = []
         seen = set()
-
-        def push(p):
-            if not p.is_zero:
-                q = p.monic()
-                if q not in seen:
-                    seen.add(q)
-                    out.append(q)
-
         ys = [Monomial([(j, 1)], []) for j in range(1, d + 1)]
         zs = [Monomial([], [(j, 1)]) for j in range(1, d + 1)]
         for g in gens:
             if self.side == "two":
-                s, t = g.s_poly(), g.t_poly()
-                for y, z in zip(ys, zs):
-                    push(s.mul_monomial(y))
-                    push(t.mul_monomial(z))
+                parts = [(g.s_poly(), ys), (g.t_poly(), zs)]
             else:
-                for m in ys if self.side == "left" else zs:
-                    push(g.quad.mul_monomial(m))
+                parts = [(g.quad, ys if self.side == "left" else zs)]
+            rows = [(_poly_row(p), shifts) for p, shifts in parts if not p.is_zero]
+            for j in range(d):
+                for (lm, lc, tail), shifts in rows:
+                    v = shifts[j]
+                    q = (lm * v, lc, tuple((m * v, c) for m, c in tail))
+                    if q not in seen:
+                        seen.add(q)
+                        out.append(q)
         return out
 
     def _kernel_polys(self):
@@ -524,9 +563,9 @@ class TwoSidedPresentation:
             return self._cache[d]
         if d in self._seeds:
             start, missing = self._seeds.pop(d)
-            gb = buchberger(self._module_gens(missing, d), self.field, start=start)
+            gb = _groebner(self.field, self._module_rows(missing, d), start)
         else:
-            gb = buchberger(self._module_gens(self.generators, d), self.field)
+            gb = _groebner(self.field, self._module_rows(self.generators, d))
         pi = self.pi
         pi_ech = Echelon(self.field, sort_key=weight_key)
         for i, p in enumerate(pi):
@@ -544,48 +583,50 @@ class TwoSidedPresentation:
                 self._pi_raw = [g.quad for g in self.generators]
         return self._pi_raw
 
-    @property
-    def var_range(self) -> int:
-        r = 1
-        for g in self.generators:
-            r = max(r, g.max_index())
-        return r
 
-
-def _member(f: BicommElement, pres: TwoSidedPresentation) -> MembershipResult:
-    """Decide membership of f in the ideal of the presentation.
+def _decide(f: BicommElement, pres: TwoSidedPresentation):
+    """Decide membership of f in the ideal of the presentation: None for
+    a non-member, else (mu, span, target, gb) for certifying it.
 
     Solve the linear part exactly over the generators' linear parts (a
     one-sided presentation has none, so only f without linear part gets
-    past this), then test the adjusted quadratic part against the module
-    ideal plus the span of the kernel polynomials, and certify a member
-    by division.
+    past this), then test the adjusted quadratic part target against the
+    module ideal (basis gb) plus the span of the kernel polynomials.
     """
     field = pres.field
     if pres.side != "two" and any(g.lin for g in pres.generators):
         raise UnsupportedGenerator("one-sided membership needs generators without linear part")
     field.check_same(f.field)
     if f.is_zero:
-        return MembershipResult(True, {}, {}, [])
+        return {}, {}, f.quad, None
     if not pres.generators:
-        return MembershipResult(False)
+        return None
     # make sure the echelon of linear parts is populated
     pres.pi
     mu = pres.lin_echelon.express(dict(f.lin))
     if mu is None:
-        return MembershipResult(False)
+        return None
     target = f.quad
     for k, c in mu.items():
         target = target.add_scaled(field.neg(c), pres.generators[k].quad)
-    d = max(f.max_index(), pres.var_range)
-    gb, pi, pi_ech = pres.data_for_range(d)
-    nf = poly_normal_form(target, gb)
-    span = pi_ech.express(dict(nf.terms))
+    gb, _, pi_ech = pres.data_for_range(max(f.max_index(), pres.var_range))
+    span = pi_ech.express(dict(poly_normal_form(target, gb).terms))
     if span is None:
+        return None
+    return mu, span, target, gb
+
+
+def _member(f: BicommElement, pres: TwoSidedPresentation) -> MembershipResult:
+    """Membership of f with a certificate: the target of _decide, less its
+    span over the kernel polynomials, divided by the module basis."""
+    found = _decide(f, pres)
+    if found is None:
         return MembershipResult(False)
-    residue = target
+    mu, span, residue, gb = found
+    if residue.is_zero:
+        return MembershipResult(True, mu, span, [])
     for i, c in span.items():
-        residue = residue.add_scaled(field.neg(c), pi[i])
+        residue = residue.add_scaled(pres.field.neg(c), pres.pi[i])
     cofactors, rem = poly_divmod(residue, gb.generators)
     if not rem.is_zero:
         raise AssertionError("division failed to certify a proven member")
@@ -647,8 +688,7 @@ def chain_stabilization(steps, mode: str = "two"):
     One presentation follows the chain: it is kept as it is while the
     ideal does not grow, and extended by the new generators when it does.
     """
-    member = {"two": two_sided_member, "left": left_ideal_member, "right": right_ideal_member}.get(mode)
-    if member is None:
+    if mode not in _SIDES:
         raise ValueError(f"unknown mode {mode!r}")
     steps = [list(step) for step in steps]
     if not steps:
@@ -667,7 +707,7 @@ def chain_stabilization(steps, mode: str = "two"):
         elif new:
             if pres is None:
                 pres = TwoSidedPresentation(prev, new[0].field, mode)
-            grew = any(not member(g, pres) for g in new)
+            grew = any(_decide(g, pres) is None for g in new)
             if grew:
                 pres = pres.extended(new)
         else:

@@ -389,8 +389,9 @@ def lift_weight(f: BicommElement, target: Monomial) -> BicommElement:
     by x_k for the y_k of q and right ones for its z_k collapse, by
     f * g = t(f) s(g), to one product: q s(h) when q has a y factor,
     q t(h) when it has only z factors, and h when q = 1.  The weight is
-    then target and the leading coefficient that of f, unless a linear
-    term of f times q outranks target, which the final check refuses.
+    then target and the leading coefficient that of f.  A linear term x_i
+    of f, though, becomes z_i q or y_i q (relabeled), which can outrank
+    target; then UnsupportedGenerator is raised, naming that term.
     """
     wt, _ = weight_of(f)
     phi = higman_embedding(wt, target)
@@ -413,8 +414,14 @@ def lift_weight(f: BicommElement, target: Monomial) -> BicommElement:
         h = BicommElement.from_quad(h.s_poly().mul_monomial(q))
     elif q.zs:
         h = BicommElement.from_quad(h.t_poly().mul_monomial(q))
-    if weight_of(h)[0] != target:
-        raise AssertionError("lift produced the wrong weight")
+    w = weight_of(h)[0]
+    if w != target:
+        # only the image of a linear term can outrank target
+        k = w.div(q).max_index
+        i = next(i for i, v in total.items() if v == k)
+        raise UnsupportedGenerator(
+            f"linear term x{i} of the generator lifts to {w}, which outranks the target {target}"
+        )
     return h
 
 

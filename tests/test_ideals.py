@@ -1,17 +1,26 @@
 """Groebner machinery and ideal membership, checked against closures
 built directly from generator actions."""
 
+import heapq
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from bicomm import ideals
 from bicomm.algebra import BicommElement
 from bicomm.errors import BadChain, UnsupportedGenerator
 from bicomm.ideals import (
     GroebnerBasis,
     TwoSidedPresentation,
+    _basis_of_rows,
+    _integral,
+    _poly_row,
+    _reduce,
+    _reduce_basis,
+    _row,
+    _spair,
     buchberger,
     chain_stabilization,
     left_ideal_member,
@@ -396,6 +405,20 @@ def test_chain_stabilization_modes_and_errors():
         chain_stabilization([[g]], mode="sideways")
 
 
+def test_chain_stabilization_builds_no_certificates(monkeypatch):
+    # only the verdicts matter, so no member is divided for its cofactors
+    def refuse(*args):
+        raise AssertionError("chain_stabilization built a certificate")
+
+    monkeypatch.setattr(ideals, "poly_divmod", refuse)
+    g = element(QQ, lin={1: 1}, quad=[("y1*z1", 1)])
+    x1 = BicommElement.generator(QQ, 1)
+    grown = [g, x1.multiply(g), g.multiply(x1)]
+    assert chain_stabilization([[g], grown[:2], grown], mode="two") == 1
+    h = quad_element(QQ, ("y1*z1", 1))
+    assert chain_stabilization([[h], [h, h.multiply(x1)]], mode="right") == 1
+
+
 def test_presentation_reuses_cached_data():
     gens = [element(QQ, lin={1: 1}, quad=[("y1*z1", 1)])]
     pres = TwoSidedPresentation(gens)
@@ -427,6 +450,101 @@ def test_incremental_buchberger_equals_from_scratch():
                       for g in start.generators[:2]]
             inside.append(old[0].scale(field.from_int(3)) if old else Poly(field, {}))
             assert buchberger(inside, field, start=start) == start
+
+
+def _pop_time_chain_buchberger(gens, field, start=None):
+    """Reference: Buchberger's algorithm that tests coprime leads and the
+    chain criterion when a pair is popped, against every basis element,
+    with the start basis's own pairs counted as treated."""
+    char = field.characteristic
+    basis = list(start._integer_rows()) if start is not None else []
+    old = len(basis)
+    seen = set()
+    for p in gens:
+        if p.is_zero:
+            continue
+        if start is not None:
+            rem, _ = _reduce(_integral(p)[0], basis, char)
+            if not rem:
+                continue
+            q = _row(rem, char)
+        else:
+            q = _poly_row(p)
+        if q not in seen:
+            seen.add(q)
+            basis.append(q)
+    if start is not None and len(basis) == old:
+        return _basis_of_rows(field, basis)
+    lead = [g[0] for g in basis]
+    pairs = []
+    for j in range(old, len(basis)):
+        for i in range(j):
+            lcm = lead[i].lcm(lead[j])
+            heapq.heappush(pairs, (weight_key(lcm), i, j, lcm))
+    done = set()
+
+    def treated(a, b):
+        a, b = min(a, b), max(a, b)
+        return b < old or (a, b) in done
+
+    while pairs:
+        _, i, j, lcm = heapq.heappop(pairs)
+        done.add((i, j))
+        if lcm == lead[i] * lead[j]:
+            continue
+        if any(k != i and k != j and lead[k].divides(lcm) and treated(i, k) and treated(j, k)
+               for k in range(len(basis))):
+            continue
+        r, _ = _reduce(_spair(basis[i], basis[j], lcm, char), basis, char)
+        if r:
+            basis.append(_row(r, char))
+            lead.append(basis[-1][0])
+            for i2 in range(len(basis) - 1):
+                lcm = lead[i2].lcm(lead[-1])
+                heapq.heappush(pairs, (weight_key(lcm), i2, len(basis) - 1, lcm))
+    return _basis_of_rows(field, _reduce_basis(basis, char))
+
+
+# leading monomials that make the pair criteria fire: three pairwise lcms
+# that are equal; coprime leads, also with an lcm equal to a non-coprime
+# pair's; and a last lead that divides the earlier ones
+_CRITERION_LEADS = [
+    ["y1*y2*z1", "y1*z1*z2", "y2*z1*z2"],
+    ["y1*z1", "y2*z2", "y2*z1"],
+    ["y2*z2", "y1*y2*z1*z2", "y1*z1"],
+    ["y1^2*z1", "y1*z1^2", "y1*y2*z1", "y1*z1"],
+]
+
+
+def _with_lead(rng, field, lead, terms=2):
+    """lead plus random smaller mixed monomials, with random coefficients."""
+    lm = parse_monomial(lead)
+    p = Poly(field, {lm: random_scalar(rng, field, nonzero=True)})
+    for _ in range(terms):
+        m = random_mixed_monomial(rng, max_index=2, max_degree=lm.degree)
+        if weight_key(m) < weight_key(lm):
+            p = p.add_scaled(random_scalar(rng, field, nonzero=True), Poly(field, {m: field.one}))
+    return p
+
+
+def test_gebauer_moeller_pruning_matches_the_pop_time_chain_criterion():
+    rng = random.Random(411)
+    for field in (QQ, F2, F3, F5):
+        cases = []
+        for leads in _CRITERION_LEADS:
+            for _ in range(4):
+                gens = [_with_lead(rng, field, lead) for lead in leads]
+                cases.append((gens[:-1], gens[-1:]))
+        for _ in range(12):
+            cases.append(_random_ideal_pieces(rng, field))
+        for old, new in cases:
+            got = buchberger(old + new, field)
+            want = _pop_time_chain_buchberger(old + new, field)
+            assert got == want and got._rows == want._rows
+            start = buchberger(old, field)
+            got = buchberger(new, field, start=start)
+            want = _pop_time_chain_buchberger(new, field, start=start)
+            assert got == want and got._rows == want._rows
 
 
 def _certificate(res):

@@ -6,7 +6,7 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bicomm.algebra import BicommElement, normalize
@@ -276,9 +276,22 @@ def _lift_cases(draw):
 def test_lift_weight_matches_the_generator_multiplications(case):
     f, target = case
     expected = _lift_by_generators(f, target)
-    # a linear term times q can outrank the target; lift_weight refuses those
-    assume(weight_of(expected)[0] == target)
-    assert lift_weight(f, target) == expected
+    if weight_of(expected)[0] != target:
+        # a linear term times q outranks the target: lift_weight refuses it
+        with pytest.raises(UnsupportedGenerator, match="linear term x"):
+            lift_weight(f, target)
+    else:
+        assert lift_weight(f, target) == expected
+
+
+def test_lift_weight_refuses_a_linear_term_that_outranks_the_target():
+    # wt(f) = y1*z1 and q = z1, so t(f)*z1 = y1*z1^2 + y2*z1, whose weight
+    # y2*z1 comes from the linear term x2
+    f = element(QQ, lin={2: 1}, quad=[("y1*z1", 1)])
+    target = parse_monomial("y1*z1^2")
+    assert weight_of(_lift_by_generators(f, target))[0] == parse_monomial("y2*z1")
+    with pytest.raises(UnsupportedGenerator, match=r"linear term x2 .* y2\*z1"):
+        lift_weight(f, target)
 
 
 def test_lift_weight_rejects_non_dominated_targets():
