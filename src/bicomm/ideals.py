@@ -33,77 +33,6 @@ from .polynomials import Poly
 from .scalars import Field
 
 
-def spolynomial(f: Poly, g: Poly) -> Poly:
-    """S-polynomial under the weight order; inputs need not be monic."""
-    field = f.field
-    mf, cf = f.leading()
-    mg, cg = g.leading()
-    lcm = mf.lcm(mg)
-    left = f.mul_monomial(lcm.div(mf), field.inv(cf))
-    right = g.mul_monomial(lcm.div(mg), field.inv(cg))
-    return left.sub(right)
-
-
-def poly_divmod(p: Poly, divisors):
-    """Multivariate division by an ordered list of polynomials.
-
-    Returns (cofactors, remainder) with p = sum cofactor_i * divisor_i +
-    remainder and no remainder monomial divisible by any divisor's
-    leading monomial.  Ties go to the first divisor in list order.
-
-    The work terms are taken greatest first from a heap, which gets a
-    monomial each time it enters the work dict.  A popped monomial no
-    longer in the dict (it cancelled, or an earlier entry for it was
-    taken) is skipped; it cannot come back, since every term that enters
-    after a pop is smaller than the popped one.
-    """
-    field = p.field
-    add, sub, mul, zero = field.add, field.sub, field.mul, field.zero
-    leads = [(d.leading(), i, d) for i, d in enumerate(divisors) if not d.is_zero]
-    work = dict(p.terms)
-    # entries (-Y, -Z, m) for the weight key (Y, Z), so that the min-heap
-    # pops the greatest monomial; equal keys mean equal monomials, so the
-    # heap never has to order two monomials
-    heap = []
-    for m in work:
-        y, z = weight_key(m)
-        heap.append((-y, -z, m))
-    heapq.heapify(heap)
-    remainder = {}
-    cofactors = [dict() for _ in divisors]
-    while heap:
-        m = heapq.heappop(heap)[2]
-        coeff = work.pop(m, None)
-        if coeff is None:
-            continue
-        for (lm, lc), i, d in leads:
-            if lm.divides(m):
-                break
-        else:
-            remainder[m] = coeff
-            continue
-        q = field.div(coeff, lc)
-        qm = m.div(lm)
-        cof = cofactors[i]
-        cof[qm] = add(cof.get(qm, zero), q)
-        for dm, dc in d.terms.items():
-            if dm == lm:
-                continue
-            key = dm * qm
-            old = work.get(key)
-            if old is None:
-                work[key] = sub(zero, mul(q, dc))
-                y, z = weight_key(key)
-                heapq.heappush(heap, (-y, -z, key))
-                continue
-            v = sub(old, mul(q, dc))
-            if v:
-                work[key] = v
-            else:
-                del work[key]
-    return [Poly(field, c) for c in cofactors], Poly(field, remainder)
-
-
 def _integral(p: Poly):
     """(terms, d): p as a dict of integer coefficients over a common
     denominator d; over a prime field the residues themselves, with d = 1."""
@@ -145,15 +74,25 @@ def _emit(field: Field, pairs, d: int) -> Poly:
     return out
 
 
-def _reduce(work: dict, rows, p: int):
+def _reduce(work: dict, rows, p: int, steps: list | None = None):
     """Fully reduce the integer polynomial work (consumed) by integer rows.
 
-    Terms are taken greatest first, each divided by the first row whose
-    lead divides it, in the same steps as poly_divmod.  Over F_p the rows
-    are monic.  Over the rationals a step whose row lead lc does not
-    divide the coefficient a first multiplies work by lc / gcd(a, lc);
-    the product of these factors is the returned scale, and the
-    remainder pairs (greatest first) are scale times the exact remainder.
+    Terms are taken greatest first from a heap, each divided by the first
+    row whose lead divides it.  A popped monomial no longer in work (it
+    cancelled, or an earlier entry for it was taken) is skipped; it cannot
+    come back, since every term that enters after a pop is smaller.
+
+    Over F_p the rows are monic.  Over the rationals a step whose row
+    lead lc does not divide the coefficient a first multiplies work by
+    lc / gcd(a, lc); the product of these factors is the returned scale,
+    and the remainder pairs (greatest first) are scale times the exact
+    remainder.
+
+    With steps, a list, each division step appends (row lead, quotient
+    monomial qm, q * lc, scale after the step), where the step subtracts
+    q * qm times the row.  If work was d times a polynomial f, the step
+    subtracts (q * lc) / (scale * d) * qm times the monic row from f:
+    these terms, collected per row, are f's cofactors.
     """
     heap = []
     for m in work:
@@ -183,6 +122,8 @@ def _reduce(work: dict, rows, p: int):
                 scale *= f
             a //= g
         qm = m.div(lm)
+        if steps is not None:
+            steps.append((lm, qm, a * lc, scale))
         for dm, dc in tail:
             key = dm * qm
             old = work.get(key)
@@ -204,7 +145,8 @@ def _reduce(work: dict, rows, p: int):
 
 def _spair(f, g, lcm: Monomial, p: int) -> dict:
     """Integer S-polynomial of two rows with lead lcm, whose leading
-    terms cancel and are left out: a nonzero multiple of spolynomial's."""
+    terms cancel and are left out: a nonzero multiple of
+    (lcm / lt(f)) f - (lcm / lt(g)) g."""
     lf, af, tf = f
     lg, ag, tg = g
     u, v = lcm.div(lf), lcm.div(lg)
@@ -226,11 +168,13 @@ def _spair(f, g, lcm: Monomial, p: int) -> dict:
 def poly_normal_form(p: Poly, basis) -> Poly:
     """Remainder of division by a Groebner basis (or any divisor list).
 
-    The same remainder as poly_divmod's, reduced on integer forms with no
-    cofactors kept.
+    Terms are divided greatest first, each by the first divisor in list
+    order whose leading monomial divides it, so no remainder monomial is
+    divisible by a divisor's leading monomial.  The division runs on
+    integer forms (see _reduce) with no cofactors kept.
     """
     if isinstance(basis, GroebnerBasis):
-        rows = basis._integer_rows()
+        rows = basis._rows
     else:
         rows = [_poly_row(d) for d in basis if not d.is_zero]
     work, d = _integral(p)
@@ -239,46 +183,42 @@ def poly_normal_form(p: Poly, basis) -> Poly:
 
 
 class GroebnerBasis:
-    """Reduced basis: monic generators, mutually irreducible, sorted by
-    leading monomial so equal ideals give equal objects.
+    """Reduced basis, held as the integer forms (see _row) of its
+    elements, mutually irreducible and sorted by leading monomial in
+    ascending weight order, so equal ideals give equal objects.
 
-    The generators' integer forms (see _row), which the reductions use,
-    come from buchberger or are built on first use.
+    Reductions read the rows alone.  The monic generators, as Polys, are
+    built when generators is first read; iterating reads them too.
     """
 
-    __slots__ = ("field", "generators", "_rows")
+    __slots__ = ("field", "_rows", "_generators")
 
-    def __init__(self, field: Field, generators):
+    def __init__(self, field: Field, rows):
         self.field = field
-        self.generators = list(generators)
-        self._rows = None
+        self._rows = rows
+        self._generators = None
 
-    def _integer_rows(self):
-        if self._rows is None:
-            self._rows = [_poly_row(g) for g in self.generators]
-        return self._rows
+    @property
+    def generators(self):
+        if self._generators is None:
+            self._generators = [_emit(self.field, ((lm, lc),) + tail, lc) for lm, lc, tail in self._rows]
+        return self._generators
 
     def __iter__(self):
         return iter(self.generators)
 
     def __len__(self):
-        return len(self.generators)
+        return len(self._rows)
 
     def __eq__(self, other):
         return (
             isinstance(other, GroebnerBasis)
             and self.field == other.field
-            and self.generators == other.generators
+            and self._rows == other._rows
         )
 
     def __repr__(self):
         return f"GroebnerBasis({[str(g) for g in self.generators]})"
-
-
-def _basis_of_rows(field: Field, rows) -> GroebnerBasis:
-    gb = GroebnerBasis(field, (_emit(field, ((lm, lc),) + tail, lc) for lm, lc, tail in rows))
-    gb._rows = rows
-    return gb
 
 
 def buchberger(gens, field: Field | None = None, start: GroebnerBasis | None = None) -> GroebnerBasis:
@@ -314,8 +254,8 @@ def buchberger(gens, field: Field | None = None, start: GroebnerBasis | None = N
     entry (Y, Z, i, j) is the pair i < j whose lcm packs to (Y, Z), so
     the heap order is the weight order of the lcms.  The rest runs on
     integer forms (see _row), fraction-free: over the rationals the
-    coefficients stay coprime integers, and only the emitted basis is
-    made monic.
+    coefficients stay coprime integers, and the result holds these rows;
+    its generators are made monic only when read (see GroebnerBasis).
     """
     polys = [p for p in gens if not p.is_zero]
     if field is None:
@@ -335,7 +275,7 @@ def buchberger(gens, field: Field | None = None, start: GroebnerBasis | None = N
 def _groebner(field: Field, rows, start: GroebnerBasis | None = None) -> GroebnerBasis:
     """buchberger on nonzero integer rows (see _row) of gens."""
     char = field.characteristic
-    basis = list(start._integer_rows()) if start is not None else []
+    basis = list(start._rows) if start is not None else []
     old = len(basis)
     leads = [(g[0]._y, g[0]._z) for g in basis]
     active = list(range(old))  # a reduced start: no lead divides another
@@ -400,7 +340,7 @@ def _groebner(field: Field, rows, start: GroebnerBasis | None = None) -> Groebne
             seen.add(q)
             install(q)
     if start is not None and len(basis) == old:
-        return _basis_of_rows(field, basis)
+        return GroebnerBasis(field, basis)
 
     while pairs:
         y, z, i, j = heapq.heappop(pairs)
@@ -408,7 +348,7 @@ def _groebner(field: Field, rows, start: GroebnerBasis | None = None) -> Groebne
         if r:
             install(_row(r, char))
 
-    return _basis_of_rows(field, _reduce_basis(basis, char))
+    return GroebnerBasis(field, _reduce_basis(basis, char))
 
 
 def _reduce_basis(basis, p: int):
@@ -437,10 +377,17 @@ def _reduce_basis(basis, p: int):
 class MembershipResult:
     """Boolean verdict plus a certificate when the element is a member.
 
-    mu: coefficients over the generators used to match the linear part;
-    span: coefficients over the kernel polynomials (or generator span);
-    cofactors: list of (basis index, polynomial) pairs for the module
-    ideal part of the decomposition.
+    mu: {k: c}, weights of the input generators (matching the linear
+    part; empty for one-sided ideals);
+    span: {k: c}, weights of the kernel polynomials pi (one-sided: the
+    generators' quadratic parts);
+    cofactors: list of (i, P), ascending in i, where the polynomial P
+    multiplies element i of the reduced module basis at the query's
+    variable range (TwoSidedPresentation.data_for_range), whose elements
+    are in ascending weight order of their leading monomials.
+
+    Together they rebuild the element: f = sum mu_k g_k plus the
+    quadratic element sum span_k pi_k + sum P_i b_i.
     """
 
     __slots__ = ("member", "mu", "span", "cofactors")
@@ -618,20 +565,28 @@ def _decide(f: BicommElement, pres: TwoSidedPresentation):
 
 def _member(f: BicommElement, pres: TwoSidedPresentation) -> MembershipResult:
     """Membership of f with a certificate: the target of _decide, less its
-    span over the kernel polynomials, divided by the module basis."""
+    span over the kernel polynomials, divided by the module basis, with
+    the cofactors read off the division's step log (see _reduce)."""
     found = _decide(f, pres)
     if found is None:
         return MembershipResult(False)
     mu, span, residue, gb = found
     if residue.is_zero:
         return MembershipResult(True, mu, span, [])
+    field = pres.field
     for i, c in span.items():
-        residue = residue.add_scaled(pres.field.neg(c), pres.pi[i])
-    cofactors, rem = poly_divmod(residue, gb.generators)
-    if not rem.is_zero:
+        residue = residue.add_scaled(field.neg(c), pres.pi[i])
+    work, d = _integral(residue)
+    steps = []
+    rem, _ = _reduce(work, gb._rows, field.characteristic, steps)
+    if rem:
         raise AssertionError("division failed to certify a proven member")
-    named = [(i, c) for i, c in enumerate(cofactors) if not c.is_zero]
-    return MembershipResult(True, mu, span, named)
+    index = {row[0]: i for i, row in enumerate(gb._rows)}
+    cofactors = {}
+    for lm, qm, q, scale in steps:
+        c = field.div(field.from_int(q), field.from_int(scale * d))
+        cofactors.setdefault(index[lm], {})[qm] = c
+    return MembershipResult(True, mu, span, [(i, Poly(field, cofactors[i])) for i in sorted(cofactors)])
 
 
 def _member_of(f: BicommElement, gens, side: str) -> MembershipResult:

@@ -83,6 +83,31 @@ def test_ideal_member_with_certificates(tmp_path, capsys):
     assert (code, out) == (1, "NOT-MEMBER\n")
 
 
+def test_ideal_member_certificate_bytes(tmp_path, capsys):
+    gens = tmp_path / "gens.txt"
+    gens.write_text("x1 + (x1*x2)\n(x2*x2) - (x1*x1)\n")
+    elem = "x1 + (x1*x2) + 2*((x2*x2)*x3) - 2*((x1*x1)*x3) + x2*(x1 + (x1*x2))"
+    over_q = {
+        "human": "MEMBER\nmu: g1 1\ncofactor: b7 1\ncofactor: b9 2\ncofactor: b10 1\n",
+        "tsv": "member\tMEMBER\nmu\tg1 1\ncofactor\tb7 1\ncofactor\tb9 2\ncofactor\tb10 1\n",
+        "json": '{"member": "MEMBER", "mu": "g1 1", "cofactor": ["b7 1", "b9 2", "b10 1"]}\n',
+    }
+    want = {
+        "q": over_q,
+        "fp:3": over_q,
+        "fp:2": {
+            "human": "MEMBER\nmu: g1 1\ncofactor: b5 1\ncofactor: b7 1\n",
+            "tsv": "member\tMEMBER\nmu\tg1 1\ncofactor\tb5 1\ncofactor\tb7 1\n",
+            "json": '{"member": "MEMBER", "mu": "g1 1", "cofactor": ["b5 1", "b7 1"]}\n',
+        },
+    }
+    for field, outputs in want.items():
+        for mode, out in outputs.items():
+            got = run(capsys, "ideal-member", "--gens", str(gens), "--elem", elem, "--verbose",
+                      "--field", field, "--output", mode)
+            assert got == (0, out, ""), (field, mode)
+
+
 def test_chain_stabilize(tmp_path, capsys):
     chain = tmp_path / "chain.txt"
     chain.write_text("(x1*x1)\n\n(x1*x1)*x1\n\nx1*(x1*x1)\n")

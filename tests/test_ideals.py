@@ -14,8 +14,10 @@ from bicomm.errors import BadChain, UnsupportedGenerator
 from bicomm.ideals import (
     GroebnerBasis,
     TwoSidedPresentation,
-    _basis_of_rows,
+    _SIDES,
+    _decide,
     _integral,
+    _member,
     _poly_row,
     _reduce,
     _reduce_basis,
@@ -24,10 +26,8 @@ from bicomm.ideals import (
     buchberger,
     chain_stabilization,
     left_ideal_member,
-    poly_divmod,
     poly_normal_form,
     right_ideal_member,
-    spolynomial,
     two_sided_member,
 )
 from bicomm.linalg import Echelon
@@ -146,6 +146,79 @@ def _one_sided_closure(gens, var_range, cap, side):
     return ech
 
 
+# references in Field arithmetic for the integer loops of ideals: the
+# S-polynomial, and multivariate division with cofactors
+def spolynomial(f: Poly, g: Poly) -> Poly:
+    """S-polynomial under the weight order; inputs need not be monic."""
+    field = f.field
+    mf, cf = f.leading()
+    mg, cg = g.leading()
+    lcm = mf.lcm(mg)
+    left = f.mul_monomial(lcm.div(mf), field.inv(cf))
+    right = g.mul_monomial(lcm.div(mg), field.inv(cg))
+    return left.sub(right)
+
+
+def poly_divmod(p: Poly, divisors):
+    """Multivariate division by an ordered list of polynomials.
+
+    Returns (cofactors, remainder) with p = sum cofactor_i * divisor_i +
+    remainder and no remainder monomial divisible by any divisor's
+    leading monomial.  Ties go to the first divisor in list order.
+
+    The work terms are taken greatest first from a heap, which gets a
+    monomial each time it enters the work dict.  A popped monomial no
+    longer in the dict (it cancelled, or an earlier entry for it was
+    taken) is skipped; it cannot come back, since every term that enters
+    after a pop is smaller than the popped one.
+    """
+    field = p.field
+    add, sub, mul, zero = field.add, field.sub, field.mul, field.zero
+    leads = [(d.leading(), i, d) for i, d in enumerate(divisors) if not d.is_zero]
+    work = dict(p.terms)
+    # entries (-Y, -Z, m) for the weight key (Y, Z), so that the min-heap
+    # pops the greatest monomial; equal keys mean equal monomials, so the
+    # heap never has to order two monomials
+    heap = []
+    for m in work:
+        y, z = weight_key(m)
+        heap.append((-y, -z, m))
+    heapq.heapify(heap)
+    remainder = {}
+    cofactors = [dict() for _ in divisors]
+    while heap:
+        m = heapq.heappop(heap)[2]
+        coeff = work.pop(m, None)
+        if coeff is None:
+            continue
+        for (lm, lc), i, d in leads:
+            if lm.divides(m):
+                break
+        else:
+            remainder[m] = coeff
+            continue
+        q = field.div(coeff, lc)
+        qm = m.div(lm)
+        cof = cofactors[i]
+        cof[qm] = add(cof.get(qm, zero), q)
+        for dm, dc in d.terms.items():
+            if dm == lm:
+                continue
+            key = dm * qm
+            old = work.get(key)
+            if old is None:
+                work[key] = sub(zero, mul(q, dc))
+                y, z = weight_key(key)
+                heapq.heappush(heap, (-y, -z, key))
+                continue
+            v = sub(old, mul(q, dc))
+            if v:
+                work[key] = v
+            else:
+                del work[key]
+    return [Poly(field, c) for c in cofactors], Poly(field, remainder)
+
+
 def test_division_identity_and_irreducible_remainder():
     rng = random.Random(401)
     for field in (QQ, F5):
@@ -239,6 +312,23 @@ def test_buchberger_literal_example():
     assert gb.generators == [_poly(QQ, ("y1*z1", 1)), _poly(QQ, ("y1*z2", 1))]
 
 
+def test_basis_generators_are_built_from_the_rows_when_read():
+    rng = random.Random(415)
+    for field in (QQ, F2, F3, F5):
+        for _ in range(8):
+            gens = [_random_poly(rng, field, terms=3, max_degree=3) for _ in range(3)]
+            gens = [g for g in gens if not g.is_zero]
+            unread, read = buchberger(gens, field), buchberger(gens, field)
+            monic = [
+                Poly(field, {lm: field.one, **{m: field.div(field.from_int(c), field.from_int(lc))
+                                                for m, c in tail}})
+                for lm, lc, tail in read._rows
+            ]
+            assert read.generators == monic
+            assert len(unread) == len(read.generators) and unread == read
+            assert unread._generators is None
+
+
 def test_normal_form_is_linear_over_a_groebner_basis():
     rng = random.Random(405)
     gens = [_poly(QQ, ("y1*z1", 1), ("y1*z2", -1)), _poly(QQ, ("y2*z1", 1), ("y1*z1", 2))]
@@ -252,8 +342,9 @@ def test_normal_form_is_linear_over_a_groebner_basis():
         assert lhs == rhs
 
 
-def _random_member(rng, gens, depth=2):
-    """A random combination of generator action words, hence a member."""
+def _random_member(rng, gens, depth=2, side="two"):
+    """A random combination of generator action words, hence a member of
+    the side's ideal."""
     field = gens[0].field
     total = BicommElement.zero(field)
     for g in gens:
@@ -261,7 +352,8 @@ def _random_member(rng, gens, depth=2):
         for _ in range(rng.randrange(depth + 1)):
             j = rng.randrange(1, 3)
             xj = BicommElement.generator(field, j)
-            e = xj.multiply(e) if rng.random() < 0.5 else e.multiply(xj)
+            left = side == "left" or (side == "two" and rng.random() < 0.5)
+            e = xj.multiply(e) if left else e.multiply(xj)
         total = total.add_scaled(random_scalar(rng, field, nonzero=True), e)
     return total
 
@@ -292,28 +384,74 @@ def test_two_sided_membership_agrees_with_action_closure():
                 assert got.member == closure.contains(_vec(f)), str(f)
 
 
+_MEMBER = {"two": two_sided_member, "left": left_ideal_member, "right": right_ideal_member}
+
+
 def test_two_sided_certificate_reconstructs_the_element():
     rng = random.Random(407)
-    for field in (QQ, F5):
-        gens = [
-            element(field, lin={1: 1, 2: 2}, quad=[("y1*z1", 1)]),
-            quad_element(field, ("y1*z2", 1), ("y2*z1", 1)),
-        ]
-        pres = TwoSidedPresentation(gens)
-        for _ in range(10):
-            f = _random_member(rng, gens, depth=3)
-            res = two_sided_member(f, pres)
-            assert res.member
-            gb, pi, _ = pres.data_for_range(max(f.max_index(), pres.var_range))
-            rebuilt = BicommElement.zero(field)
-            for k, c in res.mu.items():
-                rebuilt = rebuilt.add_scaled(c, gens[k])
-            extra = Poly(field, {})
-            for i, c in res.span.items():
-                extra = extra.add_scaled(c, pi[i])
-            for j, cof in res.cofactors:
-                extra = extra.add(cof.mul(gb.generators[j]))
-            assert rebuilt.add_scaled(field.one, BicommElement.from_quad(extra)) == f
+    for field in (QQ, F5, F2, F3):
+        for side in _SIDES:
+            if side == "two":
+                gens = [
+                    element(field, lin={1: 1, 2: 2}, quad=[("y1*z1", 1)]),
+                    quad_element(field, ("y1*z2", 1), ("y2*z1", 1)),
+                ]
+            else:
+                gens = [
+                    quad_element(field, ("y1*z1", 1), ("y2*z1", 2)),
+                    quad_element(field, ("y1*z2", 1), ("y2*z1", 1)),
+                ]
+            pres = TwoSidedPresentation(gens, side=side)
+            for _ in range(10):
+                f = _random_member(rng, gens, depth=3, side=side)
+                res = _MEMBER[side](f, pres)
+                assert res.member
+                gb, pi, _ = pres.data_for_range(max(f.max_index(), pres.var_range))
+                rebuilt = BicommElement.zero(field)
+                for k, c in res.mu.items():
+                    rebuilt = rebuilt.add_scaled(c, gens[k])
+                extra = Poly(field, {})
+                for i, c in res.span.items():
+                    extra = extra.add_scaled(c, pi[i])
+                for j, cof in res.cofactors:
+                    extra = extra.add(cof.mul(gb.generators[j]))
+                assert rebuilt.add_scaled(field.one, BicommElement.from_quad(extra)) == f, (side, str(f))
+
+
+def _divmod_certificate(f, pres):
+    """_member's result, with the cofactors from the reference division of
+    the residue by the basis generators."""
+    found = _decide(f, pres)
+    if found is None:
+        return False, None, None, None
+    mu, span, residue, gb = found
+    for i, c in span.items():
+        residue = residue.add_scaled(pres.field.neg(c), pres.pi[i])
+    cofactors, rem = poly_divmod(residue, gb.generators)
+    assert rem.is_zero
+    return True, mu, span, [(i, c) for i, c in enumerate(cofactors) if not c.is_zero]
+
+
+def test_certificates_equal_the_reference_division():
+    # two variables and degree <= 3 keep every basis small; three-variable
+    # ideals can take minutes of Buchberger time
+    rng = random.Random(414)
+    divided = 0
+    for field in (QQ, F2, F3, F5):
+        for side in _SIDES:
+            for _ in range(8):
+                gens = [random_element(rng, field, max_index=2, max_degree=3, terms=2,
+                                       linear=side == "two") for _ in range(rng.randint(1, 3))]
+                gens = [g for g in gens if not g.is_zero]
+                pres = TwoSidedPresentation(gens, field, side)
+                queries = [_random_member(rng, gens, depth=2, side=side) for _ in range(3)]
+                queries.append(random_element(rng, field, max_index=2, max_degree=4, terms=2,
+                                              linear=side == "two"))
+                for f in queries:
+                    got = _certificate(_member(f, pres))
+                    assert got == _divmod_certificate(f, pres), (field, side, str(f))
+                    divided += bool(got[3])
+    assert divided >= 100
 
 
 def test_two_sided_multidegree_obstruction():
@@ -406,17 +544,25 @@ def test_chain_stabilization_modes_and_errors():
 
 
 def test_chain_stabilization_builds_no_certificates(monkeypatch):
-    # only the verdicts matter, so no member is divided for its cofactors
-    def refuse(*args):
-        raise AssertionError("chain_stabilization built a certificate")
+    # only the verdicts matter, so no reduction logs the steps that
+    # cofactors are read from
+    reduce = ideals._reduce
+    calls = []
 
-    monkeypatch.setattr(ideals, "poly_divmod", refuse)
+    def refuse(work, rows, p, steps=None):
+        if steps is not None:
+            raise AssertionError("chain_stabilization built a certificate")
+        calls.append(p)
+        return reduce(work, rows, p)
+
+    monkeypatch.setattr(ideals, "_reduce", refuse)
     g = element(QQ, lin={1: 1}, quad=[("y1*z1", 1)])
     x1 = BicommElement.generator(QQ, 1)
     grown = [g, x1.multiply(g), g.multiply(x1)]
     assert chain_stabilization([[g], grown[:2], grown], mode="two") == 1
     h = quad_element(QQ, ("y1*z1", 1))
     assert chain_stabilization([[h], [h, h.multiply(x1)]], mode="right") == 1
+    assert calls
 
 
 def test_presentation_reuses_cached_data():
@@ -457,7 +603,7 @@ def _pop_time_chain_buchberger(gens, field, start=None):
     chain criterion when a pair is popped, against every basis element,
     with the start basis's own pairs counted as treated."""
     char = field.characteristic
-    basis = list(start._integer_rows()) if start is not None else []
+    basis = list(start._rows) if start is not None else []
     old = len(basis)
     seen = set()
     for p in gens:
@@ -474,7 +620,7 @@ def _pop_time_chain_buchberger(gens, field, start=None):
             seen.add(q)
             basis.append(q)
     if start is not None and len(basis) == old:
-        return _basis_of_rows(field, basis)
+        return GroebnerBasis(field, basis)
     lead = [g[0] for g in basis]
     pairs = []
     for j in range(old, len(basis)):
@@ -502,7 +648,7 @@ def _pop_time_chain_buchberger(gens, field, start=None):
             for i2 in range(len(basis) - 1):
                 lcm = lead[i2].lcm(lead[-1])
                 heapq.heappush(pairs, (weight_key(lcm), i2, len(basis) - 1, lcm))
-    return _basis_of_rows(field, _reduce_basis(basis, char))
+    return GroebnerBasis(field, _reduce_basis(basis, char))
 
 
 # leading monomials that make the pair criteria fire: three pairwise lcms
@@ -604,7 +750,7 @@ def _chain_reference(steps, mode):
     """Stabilization index by a from-scratch membership test against every
     previous step, with the exception type in place of an index when the
     test raises."""
-    member = {"two": two_sided_member, "left": left_ideal_member, "right": right_ideal_member}[mode]
+    member = _MEMBER[mode]
     last = 0
     prev = []
     try:
