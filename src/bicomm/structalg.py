@@ -125,6 +125,8 @@ class StructureAlgebra:
             if not (isinstance(row, list) and len(row) == 3 and isinstance(row[2], list)):
                 raise BadAlgebra(f"table row {row!r} is not [i, j, [coefficients]]")
             i, j, coeffs = _json_int(row[0]), _json_int(row[1]), [scalar(c) for c in row[2]]
+            if (i, j) in table:
+                raise BadAlgebra(f"algebra JSON table has two rows for [{i}, {j}]")
             table[(i, j)] = coeffs
         return cls(dim, field, table)
 
@@ -382,6 +384,8 @@ def check_identity(
         value = _eval_poly(terms, args, alg, _POLY_OPS)
         return CheckResult(not value, None, mode)
     if mode == "sample":
+        if samples < 1:
+            raise ValueError(f"need at least one sample, got {samples}")
         rng = random.Random(seed)
         for _ in range(samples):
             args = {}

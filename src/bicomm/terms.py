@@ -10,11 +10,16 @@ as ambiguous.
     factor      := 'x' digits | '(' poly ')'
     scalar      := digits | digits '/' digits
 
-Comments run from '#' to the end of the line.
+Blanks separate tokens, and comments run from '#' to the end of the
+line.  Digits are Unicode decimal digits (the characters int() reads,
+such as '3' or its Arabic-Indic form '٣'); other digit-like characters
+such as the superscript '²' are refused: "expected digits after 'x'"
+right after an 'x', "unexpected character" anywhere else.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import AmbiguousProduct, BadIndex, ParseError
@@ -95,6 +100,14 @@ def print_term(t: NATerm) -> str:
     return text[1:-1] if isinstance(t, Node) else text  # drop the outermost parentheses
 
 
+def _product(field: Field, a: dict, b: dict) -> dict:
+    """Bilinear product of two {tree: coefficient} dicts: every pair of trees
+    becomes a new Node.  Distinct pairs give distinct trees and nonzero
+    coefficients have nonzero products, so no term cancels."""
+    mul = field.mul
+    return {Node(t1, t2): mul(c1, c2) for t1, c1 in a.items() for t2, c2 in b.items()}
+
+
 class NAPolynomial:
     """Formal linear combination of terms; zero coefficients are dropped."""
 
@@ -146,16 +159,7 @@ class NAPolynomial:
     def mul(self, other: "NAPolynomial") -> "NAPolynomial":
         """Bilinear product: every pair of trees becomes a new Node."""
         self.field.check_same(other.field)
-        acc = {}
-        for t1, c1 in self.terms.items():
-            for t2, c2 in other.terms.items():
-                t = Node(t1, t2)
-                v = self.field.add(acc.get(t, self.field.zero), self.field.mul(c1, c2))
-                if v:
-                    acc[t] = v
-                else:
-                    acc.pop(t, None)
-        return NAPolynomial(self.field, acc)
+        return NAPolynomial(self.field, _product(self.field, self.terms, other.terms))
 
     def variables(self) -> set:
         out = set()
@@ -184,91 +188,51 @@ class NAPolynomial:
 
 # --- tokenizer / parser ---------------------------------------------------
 
+# blanks, a comment, a token (group 1), or any other character (group 2),
+# such as an 'x' without digits
+_LEXEME = re.compile(r"\s+|#[^\n]*|(\d+|x\d+|[-+*/()])|(.)")
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # 'num', 'xvar', 'op'
-    text: str
-    line: int
-    column: int
+
+def _position(text: str, offset: int) -> tuple:
+    """1-based (line, column) of text[offset]."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 def _tokenize(text: str) -> list:
+    """The (text, offset) pair of each token, left to right."""
     tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch in "+-*/()":
-            tokens.append(_Token("op", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit():
-            start = i
-            while i < n and text[i].isdigit():
-                i += 1
-            tokens.append(_Token("num", text[start:i], line, col))
-            col += i - start
-            continue
-        if ch == "x":
-            start = i
-            i += 1
-            while i < n and text[i].isdigit():
-                i += 1
-            if i == start + 1:
-                raise ParseError("expected digits after 'x'", line, col)
-            tokens.append(_Token("xvar", text[start:i], line, col))
-            col += i - start
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
+    for m in _LEXEME.finditer(text):
+        if m.lastindex == 1:
+            tokens.append((m[1], m.start()))
+        elif m.lastindex:
+            bad = m[2]
+            message = "expected digits after 'x'" if bad == "x" else f"unexpected character {bad!r}"
+            raise ParseError(message, *_position(text, m.start()))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list, field: Field):
+    """Parses tokens into {tree: coefficient} dicts.  The last token is
+    (None, offset just past the input's last real token)."""
+
+    def __init__(self, text: str, tokens: list, field: Field):
+        self.text = text
         self.tokens = tokens
         self.pos = 0
         self.field = field
 
     def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+        """Text of the next token; None at the end of the input."""
+        return self.tokens[self.pos][0]
 
-    def next(self):
-        tok = self.peek()
-        if tok is not None:
-            self.pos += 1
-        return tok
-
-    def fail(self, message, tok=None):
-        tok = tok or self.peek()
+    def fail(self, message, error=ParseError):
+        """Raise error at the next token."""
+        tok, offset = self.tokens[self.pos]
         if tok is None:
-            last = self.tokens[-1] if self.tokens else None
-            line = last.line if last else 1
-            col = last.column + len(last.text) if last else 1
-            raise ParseError(message + " (at end of input)", line, col)
-        raise ParseError(message, tok.line, tok.column)
+            message += " (at end of input)"
+        raise error(message, *_position(self.text, offset))
 
-    def at_op(self, ops: str) -> bool:
-        """Whether the next token is one of the operator characters ops."""
-        tok = self.peek()
-        return tok is not None and tok.kind == "op" and tok.text in ops
-
-    def parse_poly(self) -> NAPolynomial:
+    def parse_poly(self) -> dict:
         """Parse a poly; each '(' pushes the enclosing poly on a stack.
 
         A stack entry is (terms of the sum so far, coefficient of the open
@@ -280,36 +244,35 @@ class _Parser:
         stack = []
         result, coeff, first = {}, self.parse_coeff(), None
         while True:
-            tok = self.next()
-            if tok is None:
-                self.fail("expected a factor")
-            if tok.kind == "op" and tok.text == "(":
+            tok = self.peek()
+            if tok == "(":
+                self.pos += 1
                 stack.append((result, coeff, first))
                 result, coeff, first = {}, self.parse_coeff(), None
                 continue
-            if tok.kind != "xvar":
-                self.fail(f"expected a factor, got {tok.text!r}", tok)
-            index = int(tok.text[1:])
+            if tok is None:
+                self.fail("expected a factor")
+            if tok[0] != "x":
+                self.fail(f"expected a factor, got {tok!r}")
+            index = int(tok[1:])
             if index < 1:
-                raise BadIndex(f"bad generator index in {tok.text!r}", tok.line, tok.column)
-            value = NAPolynomial.term(field, Leaf(index))
+                self.fail(f"bad generator index in {tok!r}", BadIndex)
+            self.pos += 1
+            value = {Leaf(index): field.one}
             # value is a complete factor: close terms and polys until
             # another factor is due
             while True:
-                if first is None and self.at_op("*"):
-                    self.next()
+                if first is None and self.peek() == "*":
+                    self.pos += 1
                     first = value
                     break
                 if first is not None:
-                    value = first.mul(value)
-                    if self.at_op("*"):
-                        tok = self.peek()
-                        raise AmbiguousProduct(
-                            "product of three or more factors needs parentheses",
-                            tok.line,
-                            tok.column,
+                    value = _product(field, first, value)
+                    if self.peek() == "*":
+                        self.fail(
+                            "product of three or more factors needs parentheses", AmbiguousProduct
                         )
-                for t, c in value.terms.items():
+                for t, c in value.items():
                     w = mul(coeff, c)
                     if w:
                         v = add(result.get(t, zero), w)
@@ -317,49 +280,52 @@ class _Parser:
                             result[t] = v
                         else:
                             del result[t]
-                if self.at_op("+-"):
+                if self.peek() in ("+", "-"):
                     coeff, first = self.parse_coeff(), None
                     break
                 if not stack:
-                    return NAPolynomial(field, result)
-                closing = self.next()
-                if closing is None or closing.kind != "op" or closing.text != ")":
-                    self.fail("expected ')'", closing)
-                value = NAPolynomial(field, result)
+                    return result
+                if self.peek() != ")":
+                    self.fail("expected ')'")
+                self.pos += 1
+                value = result
                 result, coeff, first = stack.pop()
 
     def parse_coeff(self):
         """The coefficient of a term: [('+' | '-')] [scalar '*']."""
-        coeff = self.field.one
-        if self.at_op("+-") and self.next().text == "-":
-            coeff = self.field.neg(coeff)
-        tok = self.peek()
-        if tok is not None and tok.kind == "num":
-            coeff = self.field.mul(coeff, self.parse_scalar())
-            star = self.next()
-            if star is None or star.kind != "op" or star.text != "*":
-                self.fail("expected '*' after scalar", star)
+        field = self.field
+        coeff = field.one
+        sign = self.peek()
+        if sign in ("+", "-"):
+            self.pos += 1
+            if sign == "-":
+                coeff = field.neg(coeff)
+        scalar = self.peek()
+        if scalar is None or not scalar[0].isdecimal():
+            return coeff
+        self.pos += 1
+        if self.peek() == "/":
+            self.pos += 1
+            den = self.peek()
+            if den is None or not den[0].isdecimal():
+                self.fail("expected digits after '/'")
+            self.pos += 1
+            scalar = f"{scalar}/{den}"
+        coeff = field.mul(coeff, field.parse_scalar(scalar))
+        if self.peek() != "*":
+            self.fail("expected '*' after scalar")
+        self.pos += 1
         return coeff
-
-    def parse_scalar(self):
-        num = self.next()
-        tok = self.peek()
-        if tok is not None and tok.kind == "op" and tok.text == "/":
-            self.next()
-            den = self.next()
-            if den is None or den.kind != "num":
-                self.fail("expected digits after '/'", den)
-            return self.field.parse_scalar(f"{num.text}/{den.text}")
-        return self.field.parse_scalar(num.text)
 
 
 def parse_expression(text: str, field: Field) -> NAPolynomial:
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty expression")
-    parser = _Parser(tokens, field)
-    poly = parser.parse_poly()
-    tok = parser.peek()
-    if tok is not None:
-        parser.fail(f"unexpected trailing input {tok.text!r}")
-    return poly
+    last, offset = tokens[-1]
+    tokens.append((None, offset + len(last)))
+    parser = _Parser(text, tokens, field)
+    terms = parser.parse_poly()
+    if parser.peek() is not None:
+        parser.fail(f"unexpected trailing input {parser.peek()!r}")
+    return NAPolynomial(field, terms)

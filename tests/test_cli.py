@@ -192,6 +192,13 @@ def test_witt_feeds_check_identity(tmp_path, capsys):
     assert code == 1
     assert out.splitlines()[0] == "Fails"
     assert out.splitlines()[1].startswith("witness: ({0:")
+    # trying no sample at all certifies nothing
+    for samples in ("0", "-3"):
+        code, out, err = run(
+            capsys, "check-identity", "--algebra", str(algebra),
+            "--identity", "x1*(x2*x3) - x2*(x1*x3)", "--mode", "sample", "--samples", samples,
+        )
+        assert (code, out, err) == (3, "", f"error: need at least one sample, got {samples}\n")
 
 
 def test_exit_codes_for_errors(tmp_path, capsys):
@@ -202,6 +209,13 @@ def test_exit_codes_for_errors(tmp_path, capsys):
     assert run(capsys, "ideal-member", "--gens", str(tmp_path / "nope.txt"), "--elem", "x1")[0] == 3
     code, _, err = run(capsys, "normalize", "x1*x2*x3")
     assert "column" in err
+    # digit-like characters that are not decimal digits are refused as such
+    for expr, message in (
+        ("x1 + \u00b2", "unexpected character '\u00b2' (line 1, column 6)"),
+        ("2\u00b2*x1", "unexpected character '\u00b2' (line 1, column 2)"),
+        ("x\u00b2", "expected digits after 'x' (line 1, column 1)"),
+    ):
+        assert run(capsys, "normalize", expr) == (3, "", f"error: {message}\n")
     # malformed algebra files exit with code 3 and an error line, not a traceback
     bad_algebras = [
         {"dim": 2, "table": []},
@@ -216,6 +230,7 @@ def test_exit_codes_for_errors(tmp_path, capsys):
         '{"dim": 1, "field": "q", "table": [[0, 0, [1e400]]]}',
         {"dim": 1, "field": "q", "table": [[0, 0, [True]]]},
         {"dim": 1.9, "field": "q", "table": []},
+        {"dim": 2, "field": "fp:2", "table": [[0, 0, [1, 1]], [0, 0, [0, 1]]]},
     ]
     for k, obj in enumerate(bad_algebras):
         path = tmp_path / f"bad{k}.json"

@@ -8,7 +8,7 @@ from itertools import product
 import pytest
 
 from bicomm.algebra import BicommElement, normalize
-from bicomm.errors import BadElement, FieldMismatch, NotMultilinear
+from bicomm.errors import BadAlgebra, BadElement, FieldMismatch, NotMultilinear
 from bicomm.monomials import Monomial
 from bicomm.polynomials import Poly
 from bicomm.structalg import (
@@ -187,6 +187,13 @@ def test_sample_mode_is_seeded_and_witnesses_replay():
     assert check_identity(left_commutativity(QQ), w3, mode="sample", samples=30, seed=1).holds
 
 
+def test_sample_mode_needs_a_sample():
+    """With no sample tried, "Holds" would certify nothing."""
+    for samples in (0, -3):
+        with pytest.raises(ValueError, match="at least one sample"):
+            check_identity(right_commutativity(QQ), witt_truncated(3, QQ), "sample", samples)
+
+
 def _truncated_free_algebra(field, max_degree):
     """The free algebra on x1, x2 cut beyond max_degree, with its basis
     and the coordinate map."""
@@ -298,6 +305,12 @@ def test_json_round_trip_and_layout():
     assert numeric == textual
     spelled = StructureAlgebra.from_json_obj({"dim": "1", "field": "fp:5", "table": [["0", 0, [3]]]})
     assert spelled == numeric
+    # a product given twice is refused, even when the rows agree
+    for second in ([0, 1], [1, 1]):
+        with pytest.raises(BadAlgebra, match=r"two rows for \[0, 0\]"):
+            StructureAlgebra.from_json_obj(
+                {"dim": 2, "field": "fp:2", "table": [[0, 0, [1, 1]], [0, 0, second]]}
+            )
 
 
 def _random_table_algebra(rng, field, dim):
