@@ -3,20 +3,21 @@
 An algebra of dimension n over a field is stored as a sparse table of
 basis products e_i * e_j = sum_k c[k] e_k; absent (i, j) entries mean the
 product is zero.  Elements are sparse coordinate dicts index -> coordinate.
-A coordinate is a field scalar, or, in the symbolic identity check, a
+A coordinate is a field scalar, or, in the two complete identity checks, a
 generic coordinate: a `Poly` in indeterminates y_n, one per pair of an
 argument and a basis vector.  A single product loop over the table
 serves both kinds and takes the coordinate arithmetic from its caller.
 
-Identity checking evaluates non-associative polynomials either on all
-basis tuples (complete for multilinear identities), with generic
-coordinates (complete for arbitrary scalar extensions), or on random
-sample tuples (sound for failures only).
+Identity checking expands a non-associative polynomial f at generic
+coordinates (the generic-element method), or evaluates it at random
+sample tuples (sound for failures only).  Symbolic mode expands f at
+once, which decides validity over every scalar extension.  Multilinear
+mode runs the first variable over the basis vectors: for multilinear f
+the coefficient of y_{n_1} ... y_{n_r} is f at one tuple of basis vectors.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import random
 
@@ -132,7 +133,11 @@ class StructureAlgebra:
 
     @classmethod
     def from_json(cls, text: str) -> "StructureAlgebra":
-        return cls.from_json_obj(json.loads(text))
+        try:
+            obj = json.loads(text)
+        except RecursionError:
+            raise BadAlgebra("algebra JSON is nested too deeply") from None
+        return cls.from_json_obj(obj)
 
     def __eq__(self, other):
         return (
@@ -225,15 +230,10 @@ def _eval_tree(t, args: dict, alg: StructureAlgebra, ops: tuple) -> dict:
 def _eval_poly(terms: list, args: dict, alg: StructureAlgebra, ops: tuple) -> dict:
     """Value of a polynomial, given as its (tree, scalar) terms, at one
     argument tuple."""
-    return _combine(((_eval_tree(t, args, alg, ops), c) for t, c in terms), ops)
-
-
-def _combine(pairs, ops: tuple) -> dict:
-    """Sum of c * value over (value, scalar c) pairs."""
     add, _, scale = ops
     acc = {}
-    for value, c in pairs:
-        for k, v in value.items():
+    for t, c in terms:
+        for k, v in _eval_tree(t, args, alg, ops).items():
             w = scale(c, v)
             if k in acc:
                 w = add(acc[k], w)
@@ -264,9 +264,10 @@ def evaluate_polynomial(f: NAPolynomial, args, alg: StructureAlgebra) -> dict:
 class CheckResult:
     """Outcome of an identity check: verdict plus an optional witness.
 
-    For the exhaustive mode the witness is a tuple of basis indices; for
-    sample mode a tuple of coordinate dicts; symbolic failures carry no
-    witness since they may only appear after scalar extension.
+    A multilinear failure carries the lexicographically least tuple of
+    basis indices at which f is nonzero; a sample failure the tuple of
+    coordinate dicts; a symbolic failure none, since it may only appear
+    after scalar extension.
     """
 
     __slots__ = ("holds", "witness", "mode")
@@ -301,50 +302,16 @@ def _multilinear_variables(f: NAPolynomial) -> list:
     return sorted(varset or ())
 
 
-def _first_nonzero_basis_tuple(terms: list, variables: list, alg: StructureAlgebra, ops: tuple):
-    """First tuple of basis indices, in itertools.product order, at which
-    the multilinear polynomial with these (tree, scalar) terms is nonzero,
-    or None.
-
-    The values of the two root subtrees of each term are memoized by the
-    subtree and the basis indices at its leaves, so only the root
-    products and the term sum are computed afresh for every tuple.  A
-    root subtree lacks at least one of the n variables, so its memo holds
-    at most dim**(n-1) values.
-    """
-    basis = [alg.basis_element(i) for i in range(alg.dim)]
-    position = {k: p for p, k in enumerate(variables)}
-    memos = {}  # subtree -> {basis indices at its leaves: value}
-
-    def side(s):
-        leaves = term_leaves(s)
-        return s, leaves, [position[k] for k in leaves], memos.setdefault(s, {})
-
-    def value(part, witness):
-        s, leaves, positions, memo = part
-        coords = tuple([witness[p] for p in positions])
-        got = memo.get(coords)
-        if got is None:
-            args = {k: basis[i] for k, i in zip(leaves, coords)}
-            got = memo[coords] = _eval_tree(s, args, alg, ops)
-        return got
-
-    plan = []
-    for t, c in terms:
-        if isinstance(t, Node):
-            plan.append((side(t.left), side(t.right), c))
-        else:  # a lone variable, in an identity of one variable
-            plan.append((side(t), None, c))
-    for witness in itertools.product(range(alg.dim), repeat=len(variables)):
-        values = []
-        for left, right, c in plan:
-            v = value(left, witness)
-            if right is not None:
-                v = _product(alg.table, ops, v, value(right, witness))
-            values.append((v, c))
-        if _combine(values, ops):
-            return witness
-    return None
+def _generic_coordinates(variables: list, alg: StructureAlgebra) -> dict:
+    """Generic coordinates: the coordinate of e_i in the variable at
+    position pos is the indeterminate y_n, n = pos * dim + i + 1."""
+    return {
+        k: {
+            i: Poly.monomial(alg.field, Monomial([(pos * alg.dim + i + 1, 1)]))
+            for i in range(alg.dim)
+        }
+        for pos, k in enumerate(variables)
+    }
 
 
 def check_identity(
@@ -356,32 +323,33 @@ def check_identity(
 ) -> CheckResult:
     """Check whether f vanishes identically on the algebra.
 
-    mode "multilinear" evaluates on every basis tuple, which is complete
-    for multilinear f; "symbolic" substitutes generic coordinates, which
-    decides validity over every scalar extension; "sample" tries random
-    tuples and can only certify failure.
+    Mode "multilinear" is complete for multilinear f: with the first
+    variable fixed to e_0, e_1, ... in turn and the others generic, the
+    first nonzero expansion gives the least failing basis tuple.
+    "symbolic" expands f at generic coordinates, which decides validity
+    over every scalar extension; "sample" tries random tuples and can
+    only certify failure.
     """
     alg.field.check_same(f.field)
     terms = f.sorted_terms()
-    ops = _scalar_ops(alg.field)
     if mode == "multilinear":
         variables = _multilinear_variables(f)
         if not variables:
             return CheckResult(f.is_zero, None, mode)
-        witness = _first_nonzero_basis_tuple(terms, variables, alg, ops)
-        return CheckResult(witness is None, witness, mode)
+        args = _generic_coordinates(variables, alg)
+        first = variables[0]
+        generic = args[first]
+        for i in range(alg.dim):
+            args[first] = {i: generic[i]}
+            value = _eval_poly(terms, args, alg, _POLY_OPS)
+            if value:  # y_{n_1} ... y_{n_r} has the coefficient f(e_{(n_1-1) % dim}, ...)
+                monomials = (m for p in value.values() for m in p.terms)
+                witness = min(tuple((n - 1) % alg.dim for n, _ in m.ys) for m in monomials)
+                return CheckResult(False, witness, mode)
+        return CheckResult(True, None, mode)
     variables = sorted(f.variables())
     if mode == "symbolic":
-        # the coordinate of e_i in the pos-th variable is the indeterminate
-        # y_n, n = pos * dim + i + 1
-        args = {
-            k: {
-                i: Poly.monomial(alg.field, Monomial([(pos * alg.dim + i + 1, 1)]))
-                for i in range(alg.dim)
-            }
-            for pos, k in enumerate(variables)
-        }
-        value = _eval_poly(terms, args, alg, _POLY_OPS)
+        value = _eval_poly(terms, _generic_coordinates(variables, alg), alg, _POLY_OPS)
         return CheckResult(not value, None, mode)
     if mode == "sample":
         if samples < 1:
@@ -399,7 +367,7 @@ def check_identity(
                     if c:
                         coords[i] = c
                 args[k] = coords
-            if _eval_poly(terms, args, alg, ops):
+            if _eval_poly(terms, args, alg, _scalar_ops(alg.field)):
                 witness = tuple(args[k] for k in variables)
                 return CheckResult(False, witness, mode)
         return CheckResult(True, None, mode)

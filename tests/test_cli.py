@@ -16,7 +16,7 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_normalize_and_mul(capsys):
+def test_normalize_and_mul(tmp_path, capsys):
     code, out, _ = run(capsys, "normalize", "(x1*x2)")
     assert (code, out) == (0, "y1*z2\n")
     code, out, _ = run(capsys, "normalize", "x1*(x1*x2) - (x1*x1)*x2 + 3*x2")
@@ -25,6 +25,12 @@ def test_normalize_and_mul(capsys):
     assert (code, out) == (0, "y2*z1 + y1*z1\n")
     code, out, _ = run(capsys, "mul", "x1", "x1", "--field", "fp:2")
     assert (code, out) == (0, "y1*z1\n")
+    # a leading minus sign reaches the parser after "--" or inside "--opt=value"
+    assert run(capsys, "normalize", "--", "-x1") == (0, "-x1\n", "")
+    assert run(capsys, "mul", "--", "-2*x1", "x2") == (0, "-2*y1*z2\n", "")
+    gens = tmp_path / "gens.txt"
+    gens.write_text("(x1*x1)\n")
+    assert run(capsys, "ideal-member", "--gens", str(gens), "--elem=-x1*(x1*x1)") == (0, "MEMBER\n", "")
     # products nested deeper than the interpreter's recursion limit
     for factors in (1201, 5001):
         left = "(" * (factors - 2) + "x1*x1" + ")*x1" * (factors - 2)
@@ -231,6 +237,8 @@ def test_exit_codes_for_errors(tmp_path, capsys):
         {"dim": 1, "field": "q", "table": [[0, 0, [True]]]},
         {"dim": 1.9, "field": "q", "table": []},
         {"dim": 2, "field": "fp:2", "table": [[0, 0, [1, 1]], [0, 0, [0, 1]]]},
+        # nested deeper than json.loads can recurse
+        "[" * 100000,
     ]
     for k, obj in enumerate(bad_algebras):
         path = tmp_path / f"bad{k}.json"

@@ -408,12 +408,14 @@ def _first_failing_tuple(f, alg):
     return None
 
 
-def _random_multilinear_identity(rng, field):
-    """1 to 4 terms with random bracketings of the same 1 to 4 variables."""
-    n = rng.randint(1, 4)
+def _random_multilinear_identity(rng, field, names=None):
+    """1 to 4 terms with random bracketings of the same variables, by
+    default 1 to 4 of them numbered from 1."""
+    if names is None:
+        names = list(range(1, rng.randint(1, 4) + 1))
     f = NAPolynomial.zero(field)
     for _ in range(rng.randint(1, 4)):
-        term = NAPolynomial.term(field, _random_tree(rng, rng.sample(range(1, n + 1), n)))
+        term = NAPolynomial.term(field, _random_tree(rng, rng.sample(names, len(names))))
         f = f.add_scaled(random_scalar(rng, field, nonzero=True), term)
     return f
 
@@ -422,19 +424,35 @@ def test_multilinear_witness_matches_the_tuple_by_tuple_reference():
     rng = random.Random(808)
     x1, x2, x3 = Leaf(1), Leaf(2), Leaf(3)
     seen = set()
-    for field in (QQ, F2, F3):
+    for field in (QQ, F2, F3, F5):
+        one, zero = field.one, field.zero
         # e0 * e0 = e0: the commutator holds, a lone product fails at tuple 0
-        idem = StructureAlgebra(2, field, {(0, 0): [field.one, field.zero]})
+        idem = StructureAlgebra(2, field, {(0, 0): [one, zero]})
+        # e0 and e1 commute with each other and e2, but e1 * e2 = e2 while
+        # e2 * e1 = 0: the commutator's two nonzero terms cancel until (1, 2)
+        late = StructureAlgebra(3, field, {
+            (0, 0): [one, zero, zero], (0, 1): [zero, one, zero], (1, 0): [zero, one, zero],
+            (1, 1): [one, zero, zero], (1, 2): [zero, zero, one],
+        })
+        commutator = NAPolynomial.term(field, Node(x1, x2)).sub(NAPolynomial.term(field, Node(x2, x1)))
         cases = [
             (left_commutativity(field), witt_truncated(4, field)),
-            (NAPolynomial.term(field, Node(x1, x2)).sub(NAPolynomial.term(field, Node(x2, x1))),
-             idem),
+            (commutator, idem),
             (NAPolynomial.term(field, Node(Node(x1, x3), x2)), idem),
+            (commutator, late),
+            (NAPolynomial.term(field, Node(x3, Node(x1, x2))).sub(
+                NAPolynomial.term(field, Node(x3, Node(x2, x1)))), late),
+            (NAPolynomial.term(field, Leaf(4)).scale(field.from_int(2)),
+             _random_table_algebra(rng, field, 3)),
         ]
         for dim in range(1, 6):
             for _ in range(3):
                 alg = _random_table_algebra(rng, field, dim)
-                cases += [(_random_multilinear_identity(rng, field), alg) for _ in range(5)]
+                cases += [(_random_multilinear_identity(rng, field), alg) for _ in range(4)]
+                # variables other than 1..n, taken to positions in sorted order
+                names = sorted(rng.sample(range(1, 9), rng.randint(1, 3)))
+                cases.append((_random_multilinear_identity(rng, field, names), alg))
+        cases.append((_random_multilinear_identity(rng, field, [2, 5, 7]), late))
         for f, alg in cases:
             want = _first_failing_tuple(f, alg)
             got = check_identity(f, alg)
