@@ -28,8 +28,8 @@ import itertools
 from math import comb
 
 from .errors import BadElement, FieldMismatch
-from .monomials import Monomial, check_index_map
-from .polynomials import Poly, format_terms, product_of_terms
+from .monomials import Monomial, check_index_map, y_variable, z_variable
+from .polynomials import Poly, _poly, add_products, format_terms
 from .scalars import Field
 from .terms import Leaf, NAPolynomial, NATerm, _symbols
 
@@ -86,12 +86,12 @@ class BicommElement:
 
     def t_poly(self) -> Poly:
         """Linear part as y-variables, plus the quadratic part."""
-        terms = {Monomial([(i, 1)], []): c for i, c in self.lin.items()}
+        terms = {y_variable(i): c for i, c in self.lin.items()}
         return Poly(self.field, terms).add(self.quad)
 
     def s_poly(self) -> Poly:
         """Linear part as z-variables, plus the quadratic part."""
-        terms = {Monomial([], [(i, 1)]): c for i, c in self.lin.items()}
+        terms = {z_variable(i): c for i, c in self.lin.items()}
         return Poly(self.field, terms).add(self.quad)
 
     def add_scaled(self, coeff, other: "BicommElement") -> "BicommElement":
@@ -125,14 +125,25 @@ class BicommElement:
 
         Expands t(self) * s(other) term by term without building the two
         polynomials: a linear term x_i of self acts as y_i, a linear term
-        x_j of other as z_j.
+        x_j of other as z_j.  The four blocks lin*lin, lin*quad, quad*lin
+        and quad*quad add into one dict; only lin*lin gives degree 2, so
+        its products are distinct and are stored without a lookup.
         """
-        self.field.check_same(other.field)
-        left = [(Monomial([(i, 1)], []), c) for i, c in self.lin.items()]
-        left += self.quad.terms.items()
-        right = [(Monomial([], [(j, 1)]), c) for j, c in other.lin.items()]
-        right += other.quad.terms.items()
-        return BicommElement.from_quad(product_of_terms(self.field, left, right))
+        field = self.field
+        field.check_same(other.field)
+        mul = field.mul
+        ys = [(y_variable(i), c) for i, c in self.lin.items()]
+        zs = [(z_variable(j), c) for j, c in other.lin.items()]
+        acc = {y * z: v for y, c1 in ys for z, c2 in zs if (v := mul(c1, c2))}
+        quad_l, quad_r = self.quad.terms.items(), other.quad.terms.items()
+        if quad_r:
+            if ys:
+                add_products(field, acc, ys, quad_r)
+            if quad_l:
+                add_products(field, acc, quad_l, quad_r)
+        if quad_l and zs:
+            add_products(field, acc, quad_l, zs)
+        return _element(field, {}, _poly(field, acc))
 
     def __mul__(self, other):
         return self.multiply(other)
@@ -177,6 +188,20 @@ class BicommElement:
 
     def __repr__(self):
         return f"BicommElement({self})"
+
+
+_new = object.__new__
+
+
+def _element(field: Field, lin: dict, quad: Poly) -> BicommElement:
+    """Trusted constructor: lin (kept, not copied) maps indices >= 1 to
+    nonzero coefficients, and quad is a mixed-only Poly over field, as in a
+    product."""
+    e = _new(BicommElement)
+    e.field = field
+    e.lin = lin
+    e.quad = quad
+    return e
 
 
 def normalize_term(t: NATerm, field: Field) -> BicommElement:

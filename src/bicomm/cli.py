@@ -34,7 +34,7 @@ from .ideals import chain_stabilization, left_ideal_member, right_ideal_member, 
 from .monomials import parse_monomial
 from .orders import higman_relation, weight_compare
 from .scalars import Field
-from .structalg import StructureAlgebra, check_identity, witt_truncated
+from .structalg import StructureAlgebra, check_identity, format_witness, witt_truncated
 from .terms import parse_expression
 from .tideals import (
     ClosureWindow,
@@ -117,22 +117,6 @@ def _read_chain(path: str, field: Field) -> list:
         acc = acc + block
         steps.append(list(acc))
     return steps
-
-
-def _format_witness(witness, field: Field | None = None) -> str:
-    if witness is None:
-        return "none"
-    if all(isinstance(w, int) for w in witness):
-        return "(" + ",".join(f"e{i}" for i in witness) + ")"
-
-    def coords(w):
-        parts = [
-            f"{i}: {field.format_scalar(c) if field else c}"
-            for i, c in sorted(w.items())
-        ]
-        return "{" + ", ".join(parts) + "}"
-
-    return "(" + "; ".join(coords(w) for w in witness) + ")"
 
 
 # --- subcommand handlers ----------------------------------------------------
@@ -260,7 +244,7 @@ def _cmd_check_identity(args, em: _Emitter) -> int:
     res = check_identity(f, alg, mode=args.mode, samples=args.samples, seed=args.seed)
     em.emit("verdict", "Holds" if res.holds else "Fails")
     if not res.holds:
-        em.emit("witness", _format_witness(res.witness, alg.field), label="witness")
+        em.emit("witness", format_witness(res.witness), label="witness")
     return 0 if res.holds else 1
 
 

@@ -29,7 +29,7 @@ from .errors import BadChain, UnsupportedGenerator
 from .linalg import Echelon
 from .monomials import Monomial, _monomial
 from .orders import weight_key
-from .polynomials import Poly
+from .polynomials import Poly, _poly
 from .scalars import Field
 
 
@@ -69,9 +69,7 @@ def _poly_row(d: Poly):
 def _emit(field: Field, pairs, d: int) -> Poly:
     """The polynomial sum(c * m) / d of integer (monomial, c) pairs."""
     inv, mul = field.inv(d), field.mul
-    out = Poly(field)
-    out.terms = {m: mul(c, inv) for m, c in pairs}
-    return out
+    return _poly(field, {m: mul(c, inv) for m, c in pairs})
 
 
 def _reduce(work: dict, rows, p: int, steps: list | None = None):

@@ -34,8 +34,9 @@ class Echelon:
 
     def _sub_scaled(self, vec: dict, coeff, other: dict) -> None:
         f = self.field
+        sub, mul, zero = f.sub, f.mul, f.zero
         for k, c in other.items():
-            v = f.sub(vec.get(k, f.zero), f.mul(coeff, c))
+            v = sub(vec.get(k, zero), mul(coeff, c))
             if v:
                 vec[k] = v
             else:

@@ -189,9 +189,6 @@ class Monomial:
             raise ValueError(f"{other} does not divide {self}")
         return _monomial(y, z)
 
-    def lcm(self, other: "Monomial") -> "Monomial":
-        return _monomial(_fieldmax(self._y, other._y), _fieldmax(self._z, other._z))
-
     def apply_index_map(self, phi: dict) -> "Monomial":
         """Rename indices through phi, which must be strictly increasing."""
         check_index_map(phi, self.indices())
@@ -237,6 +234,22 @@ def _monomial(y: int, z: int) -> Monomial:
 
 
 ONE = Monomial()
+
+# y_i and z_i for the small indices that linear parts use, built once so that
+# products of algebra elements need not build them per call
+_SMALL = 64
+_Y = (None,) + tuple(Monomial([(i, 1)], []) for i in range(1, _SMALL))
+_Z = (None,) + tuple(Monomial([], [(i, 1)]) for i in range(1, _SMALL))
+
+
+def y_variable(i: int) -> Monomial:
+    """The monomial y_i, validated like Monomial([(i, 1)], [])."""
+    return _Y[i] if 0 < i < _SMALL else Monomial([(i, 1)], [])
+
+
+def z_variable(i: int) -> Monomial:
+    """The monomial z_i, validated like Monomial([], [(i, 1)])."""
+    return _Z[i] if 0 < i < _SMALL else Monomial([], [(i, 1)])
 
 _FACTOR_RE = re.compile(r"([yz])(\d+)(?:\^(\d+))?$")
 

@@ -74,9 +74,7 @@ class Poly:
                 acc[m] = v
             else:
                 acc.pop(m, None)
-        out = Poly(self.field)
-        out.terms = acc
-        return out
+        return _poly(self.field, acc)
 
     def add_scaled(self, coeff, other: "Poly") -> "Poly":
         self.field.check_same(other.field)
@@ -90,33 +88,26 @@ class Poly:
                 acc[m] = v
             else:
                 acc.pop(m, None)
-        out = Poly(self.field)
-        out.terms = acc
-        return out
-
-    def sub(self, other: "Poly") -> "Poly":
-        return self.add_scaled(self.field.neg(self.field.one), other)
+        return _poly(self.field, acc)
 
     def scale(self, coeff) -> "Poly":
         if not coeff:
             return Poly.zero(self.field)
         mul = self.field.mul
-        out = Poly(self.field)
-        out.terms = {m: mul(coeff, c) for m, c in self.terms.items()}
-        return out
+        return _poly(self.field, {m: mul(coeff, c) for m, c in self.terms.items()})
 
     def mul_monomial(self, m: Monomial, coeff=None) -> "Poly":
         c = self.field.one if coeff is None else coeff
         if not c:
             return Poly.zero(self.field)
         mul = self.field.mul
-        out = Poly(self.field)
-        out.terms = {mm * m: mul(c, cc) for mm, cc in self.terms.items()}
-        return out
+        return _poly(self.field, {mm * m: mul(c, cc) for mm, cc in self.terms.items()})
 
     def mul(self, other: "Poly") -> "Poly":
         self.field.check_same(other.field)
-        return product_of_terms(self.field, self.terms.items(), other.terms.items())
+        acc = {}
+        add_products(self.field, acc, self.terms.items(), other.terms.items())
+        return _poly(self.field, acc)
 
     def monic(self) -> "Poly":
         if self.is_zero:
@@ -139,9 +130,7 @@ class Poly:
                 acc[mm] = v
             else:
                 acc.pop(mm, None)
-        out = Poly(self.field)
-        out.terms = acc
-        return out
+        return _poly(self.field, acc)
 
     def coefficient(self, m: Monomial):
         return self.terms.get(m, self.field.zero)
@@ -165,9 +154,22 @@ class Poly:
         return f"Poly({self})"
 
 
-def product_of_terms(field: Field, left, right) -> Poly:
-    """Product of two sums given as (monomial, coefficient) pairs."""
-    acc = {}
+_new = object.__new__
+
+
+def _poly(field: Field, terms: dict) -> Poly:
+    """Trusted constructor: terms (kept, not copied) holds no zero
+    coefficient."""
+    p = _new(Poly)
+    p.field = field
+    p.terms = terms
+    p._lead = None
+    return p
+
+
+def add_products(field: Field, acc: dict, left, right) -> None:
+    """Add the product of two sums given as (monomial, coefficient) pairs
+    into the dict acc, dropping the terms that cancel."""
     add, mul, zero = field.add, field.mul, field.zero
     for m1, c1 in left:
         for m2, c2 in right:
@@ -177,9 +179,6 @@ def product_of_terms(field: Field, left, right) -> Poly:
                 acc[m] = v
             else:
                 acc.pop(m, None)
-    out = Poly(field)
-    out.terms = acc
-    return out
 
 
 def format_terms(field: Field, pairs) -> str:

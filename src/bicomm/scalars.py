@@ -1,9 +1,14 @@
 """Exact scalar arithmetic over the rationals or a prime field.
 
-A :class:`Field` instance interprets plain Python values as field elements:
-``fractions.Fraction`` for the rationals and canonical residues ``0..p-1``
-(plain ints) for a prime field.  All operations are exact; no floating
-point is involved anywhere.
+A :class:`Field` instance interprets plain Python values as field elements.
+Over the rationals a scalar is a plain ``int`` or a ``fractions.Fraction``:
+``zero``, ``one``, ``from_int``, integer text and the arithmetic of ints give
+ints, and a quotient (``inv``, ``div``, ``a/b`` text) gives a ``Fraction``,
+also when it is integral.  The two types mix freely, since ``int`` and
+``Fraction`` agree on ``==``, ``hash`` and ``str`` for integral values, and
+``int`` arithmetic is much cheaper.  Over a prime field the elements are the
+canonical residues ``0..p-1`` (plain ints).  All operations are exact; no
+floating point is involved anywhere.
 """
 
 from __future__ import annotations
@@ -29,11 +34,14 @@ def _is_prime(n: int) -> bool:
 class Field:
     """The rationals (``characteristic == 0``) or F_p for a word-size prime.
 
-    ``zero`` and ``one`` are set once per field; the arithmetic tests the
-    characteristic directly.
+    ``zero`` and ``one`` are the ints 0 and 1 in every field; the arithmetic
+    tests the characteristic directly.
     """
 
-    __slots__ = ("characteristic", "zero", "one")
+    __slots__ = ("characteristic",)
+
+    zero = 0
+    one = 1
 
     def __init__(self, characteristic: int):
         if characteristic != 0:
@@ -42,8 +50,6 @@ class Field:
             if not _is_prime(characteristic):
                 raise InvalidField(f"modulus is not prime: {characteristic}")
         self.characteristic = characteristic
-        self.zero = Fraction(0) if characteristic == 0 else 0
-        self.one = Fraction(1) if characteristic == 0 else 1
 
     @classmethod
     def rationals(cls) -> "Field":
@@ -75,7 +81,7 @@ class Field:
 
     def from_int(self, n: int):
         p = self.characteristic
-        return n % p if p else Fraction(n)
+        return n % p if p else n
 
     def add(self, a, b):
         p = self.characteristic

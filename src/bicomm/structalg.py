@@ -261,6 +261,21 @@ def evaluate_polynomial(f: NAPolynomial, args, alg: StructureAlgebra) -> dict:
 # --- identity checking ------------------------------------------------------
 
 
+def format_witness(witness) -> str:
+    """A witness as text: "none", a basis tuple "(e1,e0,e1)", or sample
+    coordinates "({0: -2, 1: 1}; ...)" with each scalar printed by str,
+    which shows an integral rational the same as an int or a Fraction."""
+    if witness is None:
+        return "none"
+    if all(isinstance(w, int) for w in witness):
+        return "(" + ",".join(f"e{i}" for i in witness) + ")"
+
+    def coords(w):
+        return "{" + ", ".join(f"{i}: {c}" for i, c in sorted(w.items())) + "}"
+
+    return "(" + "; ".join(coords(w) for w in witness) + ")"
+
+
 class CheckResult:
     """Outcome of an identity check: verdict plus an optional witness.
 
@@ -283,7 +298,7 @@ class CheckResult:
     def __repr__(self):
         if self.holds:
             return f"CheckResult(Holds, mode={self.mode})"
-        return f"CheckResult(Fails, witness={self.witness}, mode={self.mode})"
+        return f"CheckResult(Fails, witness={format_witness(self.witness)}, mode={self.mode})"
 
 
 def _multilinear_variables(f: NAPolynomial) -> list:
@@ -415,7 +430,7 @@ class BicommVerdict:
     def __repr__(self):
         if self.holds:
             return "BicommVerdict(Holds)"
-        return f"BicommVerdict(Fails, witness={self.witness})"
+        return f"BicommVerdict(Fails, witness={format_witness(self.witness)})"
 
 
 def check_bicommutative(alg: StructureAlgebra) -> BicommVerdict:

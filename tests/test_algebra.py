@@ -7,6 +7,7 @@ bracketed word collapses to a single monomial with coefficient one.
 """
 
 import random
+from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
 from math import comb
 
@@ -240,6 +241,46 @@ def test_normalize_is_linear_in_the_input():
     assert normalize(p) == quad_element(QQ, ("y1*z2", 2), ("y2*z1", -1))
     assert normalize(parse_expression("x1*(x2*x3) - x2*(x1*x3)", QQ)).is_zero
     assert normalize(parse_expression("(x1*x2)*x3 - (x1*x3)*x2", QQ)).is_zero
+
+
+def _scalars(field):
+    if field.is_rationals:
+        return st.one_of(st.integers(-4, 4), st.fractions(-4, 4, max_denominator=6))
+    return st.integers(0, field.characteristic - 1)
+
+
+@st.composite
+def _elements(draw, field):
+    """Random element with a linear part, indices 1..3 and one past the
+    small ones that have prebuilt variables, and a mixed quadratic part."""
+    indices = st.sampled_from([1, 2, 3, 70])
+    lin = draw(st.dictionaries(indices, _scalars(field), max_size=3))
+    quad = {}
+    for ys, zs, c in draw(st.lists(st.tuples(
+        st.dictionaries(indices, st.integers(1, 3), min_size=1, max_size=2),
+        st.dictionaries(indices, st.integers(1, 3), min_size=1, max_size=2),
+        _scalars(field),
+    ), max_size=4)):
+        quad[Monomial(ys.items(), zs.items())] = c
+    return BicommElement(field, lin, Poly(field, quad))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_products_equal_the_validated_element(data):
+    """multiply builds its result without re-validation; it must equal the
+    validated element t(a) s(b) and pass the validating constructor."""
+    field = data.draw(_fields)
+    a, b = data.draw(_elements(field)), data.draw(_elements(field))
+    p = a.multiply(b)
+    want = BicommElement(field, {}, a.t_poly().mul(b.s_poly()))
+    assert p == want and str(p) == str(want)
+    assert BicommElement(field, p.lin, p.quad) == p
+    assert p.field is field and p.lin == {}
+    assert all(p.quad.terms.values()) and p.quad.is_mixed_only
+    for c in p.quad.terms.values():
+        assert type(c) in (int, Fraction)
+        assert field.is_rationals or 0 < c < field.characteristic
 
 
 def test_mixed_only_invariant_enforced():

@@ -1,11 +1,16 @@
 """End-to-end command-line checks with frozen outputs."""
 
 import json
+import random
 import sys
+from fractions import Fraction
 
 import pytest
 
+from bicomm import cli, structalg
 from bicomm.cli import _build_parser, main
+from bicomm.scalars import Field
+from bicomm.structalg import StructureAlgebra, witt_truncated
 
 from conftest import QQ
 
@@ -357,3 +362,94 @@ def test_check_identity_on_deeply_nested_products(tmp_path, capsys):
         got = run(capsys, "check-identity", "--algebra", str(algebra),
                   "--identity", identity, "--mode", "symbolic")
         assert got == want
+
+
+class _FractionRationals(Field):
+    """The field with every rational scalar held as a Fraction: zero, one
+    and from_int give Fraction(0), Fraction(1) and Fraction(n) over Q, the
+    reference for the int representation of integral values."""
+
+    def __init__(self, characteristic):
+        super().__init__(characteristic)
+        if not characteristic:
+            self.zero, self.one = Fraction(0), Fraction(1)
+
+    def from_int(self, n):
+        return super().from_int(n) if self.characteristic else Fraction(n)
+
+
+_COEFFS = ["", "", "2*", "-", "-3*", "1/2*", "-4/6*", "6/3*"]
+
+
+def _random_tree(rng, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return f"x{rng.randint(1, 3)}"
+    return f"({_random_tree(rng, depth - 1)})*({_random_tree(rng, depth - 1)})"
+
+
+def _random_sum(rng, terms=3, depth=3):
+    text = ""
+    for k in range(rng.randint(1, terms)):
+        coeff = rng.choice(_COEFFS)
+        sign = "" if k == 0 or coeff.startswith("-") else "+ "
+        text += f" {sign}{coeff}{_random_tree(rng, depth)}"
+    return text.strip()
+
+
+def _differential_corpus(tmp_path):
+    """Seeded argv lists over q for every subcommand that computes with
+    scalars; paths point into tmp_path."""
+    rng = random.Random(4099)
+    corpus = [["normalize", "--", _random_sum(rng, 4, 4)] for _ in range(8)]
+    corpus += [["mul", "--", _random_sum(rng), _random_sum(rng)] for _ in range(6)]
+    for k in range(3):
+        gens = tmp_path / f"gens{k}.txt"
+        gens.write_text(f"{_random_sum(rng, 2, 1)}\n{_random_sum(rng, 2, 2)}\n")
+        g1, g2 = gens.read_text().splitlines()
+        member = f"-2/3*({g1}) + x{k + 1}*({g2}) + 3*(({g2})*x2)"
+        for elem in (member, _random_sum(rng)):
+            for mode in ("two", "left", "right"):
+                corpus.append(["ideal-member", "--gens", str(gens), "--elem", elem,
+                               "--mode", mode, "--verbose"])
+        chain = tmp_path / f"chain{k}.txt"
+        chain.write_text(f"{g1}\n\n{g2}\n\n{_random_sum(rng, 2, 2)}\n\n{member}\n")
+        for mode in ("two", "left", "right"):
+            corpus.append(["chain-stabilize", "--chain", str(chain), "--mode", mode])
+    comm = tmp_path / "comm.txt"
+    comm.write_text("3/2*(x1*x2) - 3/2*(x2*x1)\n")
+    square = tmp_path / "square.txt"
+    square.write_text("-2*(x1*x1)\n")
+    for gens in (comm, square):
+        for elem in ("(x1*x2) + (x2*x1)", "1/3*(x1*x2) - 1/3*(x2*x1)", "x1*(x2*x2) - 2*(x2*(x1*x2))"):
+            corpus.append(["tideal-member", "--gens", str(gens), "--elem", elem,
+                           "--max-deg", "3", "--max-vars", "2"])
+        corpus.append(["specht-search", "--gens", str(gens), "--max-deg", "4", "--max-vars", "2"])
+    table = {(i, j): [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(3)]
+             for i in range(3) for j in range(3) if rng.random() < 0.6}
+    algebras = [witt_truncated(3, QQ), StructureAlgebra(3, QQ, table)]
+    identities = ["x1*(x2*x3) - x2*(x1*x3)", "((x1*x2)*x3) - ((x1*x3)*x2)",
+                  "1/2*(x1*x2) - 1/2*(x2*x1)", "(x1*x1)*x2 - 2*(x2*(x1*x1))"]
+    for k, alg in enumerate(algebras):
+        path = tmp_path / f"alg{k}.json"
+        path.write_text(alg.to_json())
+        for identity in identities:
+            for mode in ("multilinear", "symbolic", "sample"):
+                corpus.append(["check-identity", "--algebra", str(path), "--identity", identity,
+                               "--mode", mode, "--samples", "20", "--seed", str(k)])
+    return corpus
+
+
+def test_integral_rationals_print_as_their_fraction_forms(tmp_path, monkeypatch, capsys):
+    """Over q, stdout, stderr and exit codes are the same whether integral
+    scalars are ints or Fractions, in every output mode."""
+    corpus = _differential_corpus(tmp_path)
+    outputs = {}
+    for field_class in (Field, _FractionRationals):
+        monkeypatch.setattr(cli, "Field", field_class)
+        monkeypatch.setattr(structalg, "Field", field_class)
+        assert type(cli.Field.parse("q").from_int(2)) is (int if field_class is Field else Fraction)
+        outputs[field_class] = [run(capsys, argv[0], "--output", mode, *argv[1:])
+                                for argv in corpus for mode in ("human", "tsv", "json")]
+    assert outputs[Field] == outputs[_FractionRationals]
+    codes = [code for code, _, _ in outputs[Field]]
+    assert {0, 1} <= set(codes)

@@ -31,7 +31,7 @@ from bicomm.ideals import (
     two_sided_member,
 )
 from bicomm.linalg import Echelon
-from bicomm.monomials import Monomial, parse_monomial
+from bicomm.monomials import Monomial, _fieldmax, _monomial, parse_monomial
 from bicomm.orders import weight_key
 from bicomm.polynomials import Poly
 
@@ -146,6 +146,12 @@ def _one_sided_closure(gens, var_range, cap, side):
     return ech
 
 
+def _lcm(a: Monomial, b: Monomial) -> Monomial:
+    """lcm of two monomials, as the pair queue of _groebner takes it: the
+    fieldwise maximum of the packed pairs."""
+    return _monomial(_fieldmax(a._y, b._y), _fieldmax(a._z, b._z))
+
+
 # references in Field arithmetic for the integer loops of ideals: the
 # S-polynomial, and multivariate division with cofactors
 def spolynomial(f: Poly, g: Poly) -> Poly:
@@ -153,10 +159,10 @@ def spolynomial(f: Poly, g: Poly) -> Poly:
     field = f.field
     mf, cf = f.leading()
     mg, cg = g.leading()
-    lcm = mf.lcm(mg)
+    lcm = _lcm(mf, mg)
     left = f.mul_monomial(lcm.div(mf), field.inv(cf))
     right = g.mul_monomial(lcm.div(mg), field.inv(cg))
-    return left.sub(right)
+    return left.add_scaled(-1, right)
 
 
 def poly_divmod(p: Poly, divisors):
@@ -264,7 +270,7 @@ def test_spolynomial_cancels_the_common_leading_monomial():
         g = _random_poly(rng, QQ, terms=3)
         if f.is_zero or g.is_zero:
             continue
-        lcm = f.leading()[0].lcm(g.leading()[0])
+        lcm = _lcm(f.leading()[0], g.leading()[0])
         s = spolynomial(f, g)
         assert lcm not in s.terms
         for m in s.terms:
@@ -625,7 +631,7 @@ def _pop_time_chain_buchberger(gens, field, start=None):
     pairs = []
     for j in range(old, len(basis)):
         for i in range(j):
-            lcm = lead[i].lcm(lead[j])
+            lcm = _lcm(lead[i], lead[j])
             heapq.heappush(pairs, (weight_key(lcm), i, j, lcm))
     done = set()
 
@@ -646,7 +652,7 @@ def _pop_time_chain_buchberger(gens, field, start=None):
             basis.append(_row(r, char))
             lead.append(basis[-1][0])
             for i2 in range(len(basis) - 1):
-                lcm = lead[i2].lcm(lead[-1])
+                lcm = _lcm(lead[i2], lead[-1])
                 heapq.heappush(pairs, (weight_key(lcm), i2, len(basis) - 1, lcm))
     return GroebnerBasis(field, _reduce_basis(basis, char))
 

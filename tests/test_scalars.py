@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bicomm.errors import DivisionByZero, FieldMismatch, InvalidField
 from bicomm.monomials import parse_monomial
@@ -105,3 +107,41 @@ def test_check_same_and_spec_string():
     assert q.spec_string() == "q"
     assert f5.spec_string() == "fp:5"
     assert Field.parse(f5.spec_string()) == f5
+
+
+def test_rational_constants_are_ints():
+    q = Field.parse("q")
+    for value, n in ((q.zero, 0), (q.one, 1), (q.from_int(-7), -7), (q.parse_scalar("-7"), -7)):
+        assert type(value) is int and value == n
+
+
+_rationals = st.one_of(
+    st.integers(-10**30, 10**30),
+    st.fractions(max_denominator=10**6),
+    st.integers(-50, 50).map(Fraction),  # integral values held as Fractions
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_rationals, _rationals, st.integers(-10**6, 10**6), st.integers(1, 10**6))
+def test_rational_ops_match_fraction_arithmetic(a, b, num, den):
+    """Over Q every operation on int or Fraction operands gives an int or a
+    Fraction equal to Fraction arithmetic, with the same str; ints give
+    ints except through a quotient."""
+    q = Field.rationals()
+    fa, fb = Fraction(a), Fraction(b)
+    cases = [(q.add(a, b), fa + fb), (q.sub(a, b), fa - fb), (q.mul(a, b), fa * fb),
+             (q.neg(a), -fa)]
+    integral = [type(a) is type(b) is int] * 3 + [type(a) is int]
+    if b:
+        cases += [(q.inv(b), 1 / fb), (q.div(a, b), fa / fb)]
+        integral += [False, False]
+    for text, want in ((str(a), fa), (f"{num}/{den}", Fraction(num, den)),
+                       (f"- {abs(num)}", Fraction(-abs(num)))):
+        cases.append((q.parse_scalar(text), want))
+        integral.append("/" not in text)
+    for (got, want), stays_int in zip(cases, integral):
+        assert type(got) in (int, Fraction)
+        assert got == want and str(got) == str(want)
+        if stays_int:
+            assert type(got) is int

@@ -3,19 +3,24 @@ compared against a polynomial model of the truncated derivation algebra
 and against the normal form of the free algebra itself."""
 
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from bicomm.algebra import BicommElement, normalize
+from bicomm.cli import main
 from bicomm.errors import BadAlgebra, BadElement, FieldMismatch, NotMultilinear
 from bicomm.monomials import Monomial
 from bicomm.polynomials import Poly
 from bicomm.structalg import (
+    BicommVerdict,
+    CheckResult,
     StructureAlgebra,
     check_bicommutative,
     check_identity,
     evaluate_polynomial,
+    format_witness,
     left_commutativity,
     right_commutativity,
     witt_truncated,
@@ -185,6 +190,34 @@ def test_sample_mode_is_seeded_and_witnesses_replay():
     args = dict(zip(sorted({1, 2, 3}), first.witness))
     assert evaluate_polynomial(f, args, w3)
     assert check_identity(left_commutativity(QQ), w3, mode="sample", samples=30, seed=1).holds
+
+
+def test_witness_repr_prints_scalars_as_the_cli_does(tmp_path, capsys):
+    """Reprs show a witness as the CLI prints it, whether a rational
+    coordinate is held as an int or as a Fraction."""
+    for spec, field in (("q", QQ), ("fp:3", F3)):
+        w3 = witt_truncated(3, field)
+        res = check_identity(right_commutativity(field), w3, mode="sample", samples=50, seed=7)
+        coords = "; ".join(
+            "{" + ", ".join(f"{i}: {c}" for i, c in sorted(w.items())) + "}" for w in res.witness
+        )
+        assert repr(res) == f"CheckResult(Fails, witness=({coords}), mode=sample)"
+        algebra = tmp_path / f"w3-{spec[-1]}.json"
+        algebra.write_text(w3.to_json())
+        code = main(["check-identity", "--algebra", str(algebra), "--mode", "sample",
+                     "--samples", "50", "--seed", "7", "--identity", "((x1*x2)*x3) - ((x1*x3)*x2)"])
+        assert (code, capsys.readouterr().out) == (1, f"Fails\nwitness: ({coords})\n")
+        verdict = check_bicommutative(w3)
+        assert repr(verdict) == "BicommVerdict(Fails, witness=(e1,e0,e1))"
+        assert repr(verdict.right) == "CheckResult(Fails, witness=(e1,e0,e1), mode=multilinear)"
+    held = {0: Fraction(-2), 1: 1, 2: Fraction(3, 2)}, {1: Fraction(4, 2)}
+    assert format_witness(held) == "({0: -2, 1: 1, 2: 3/2}; {1: 2})"
+    assert repr(CheckResult(False, held, "sample")) == (
+        "CheckResult(Fails, witness=({0: -2, 1: 1, 2: 3/2}; {1: 2}), mode=sample)"
+    )
+    holds = CheckResult(True, None, "sample")
+    assert repr(BicommVerdict(holds, holds)) == "BicommVerdict(Holds)"
+    assert format_witness(None) == "none"
 
 
 def test_sample_mode_needs_a_sample():
