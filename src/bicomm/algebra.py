@@ -41,13 +41,9 @@ class BicommElement:
 
     def __init__(self, field: Field, lin=None, quad: Poly | None = None):
         self.field = field
-        self.lin = {}
-        if lin:
-            for i, c in dict(lin).items():
-                if c:
-                    if i < 1:
-                        raise BadElement(f"bad generator index {i}")
-                    self.lin[i] = c
+        self.lin = {i: v for i, c in dict(lin or ()).items() if (v := field.canonical(c))}
+        if self.lin and min(self.lin) < 1:
+            raise BadElement(f"bad generator index {min(self.lin)}")
         self.quad = quad if quad is not None else Poly.zero(field)
         if self.quad.field != field:
             raise FieldMismatch("quadratic part uses a different field")
@@ -87,12 +83,12 @@ class BicommElement:
     def t_poly(self) -> Poly:
         """Linear part as y-variables, plus the quadratic part."""
         terms = {y_variable(i): c for i, c in self.lin.items()}
-        return Poly(self.field, terms).add(self.quad)
+        return _poly(self.field, terms).add(self.quad)
 
     def s_poly(self) -> Poly:
         """Linear part as z-variables, plus the quadratic part."""
         terms = {z_variable(i): c for i, c in self.lin.items()}
-        return Poly(self.field, terms).add(self.quad)
+        return _poly(self.field, terms).add(self.quad)
 
     def add_scaled(self, coeff, other: "BicommElement") -> "BicommElement":
         self.field.check_same(other.field)
@@ -103,7 +99,7 @@ class BicommElement:
                 lin[i] = v
             else:
                 lin.pop(i, None)
-        return BicommElement(self.field, lin, self.quad.add_scaled(coeff, other.quad))
+        return _element(self.field, lin, self.quad.add_scaled(coeff, other.quad))
 
     def __add__(self, other):
         return self.add_scaled(self.field.one, other)
@@ -165,7 +161,7 @@ class BicommElement:
         for m, c in self.quad.terms.items():
             quads.setdefault(m.multidegree(), {})[m] = c
         for key, terms in quads.items():
-            parts[key] = BicommElement.from_quad(Poly(self.field, terms))
+            parts[key] = _element(self.field, {}, _poly(self.field, terms))
         return parts
 
     def __eq__(self, other):
@@ -231,7 +227,7 @@ def normalize(poly: NAPolynomial) -> BicommElement:
             acc[key] = v
         else:
             del acc[key]
-    return BicommElement(field, lin, Poly(field, quad))
+    return _element(field, lin, _poly(field, quad))
 
 
 def graded_dimension(d: int, n: int) -> int:

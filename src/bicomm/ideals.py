@@ -28,7 +28,6 @@ from .algebra import BicommElement
 from .errors import BadChain, UnsupportedGenerator
 from .linalg import Echelon
 from .monomials import Monomial, _monomial
-from .orders import weight_key
 from .polynomials import Poly, _poly
 from .scalars import Field
 
@@ -62,7 +61,7 @@ def _row(pairs, p: int):
 
 def _poly_row(d: Poly):
     terms, _ = _integral(d)
-    pairs = sorted(terms.items(), key=lambda t: weight_key(t[0]), reverse=True)
+    pairs = sorted(terms.items(), reverse=True)
     return _row(pairs, d.field.characteristic)
 
 
@@ -94,7 +93,7 @@ def _reduce(work: dict, rows, p: int, steps: list | None = None):
     """
     heap = []
     for m in work:
-        y, z = weight_key(m)
+        y, z = m
         heap.append((-y, -z, m))
     heapq.heapify(heap)
     heappop, heappush, gcd = heapq.heappop, heapq.heappush, math.gcd
@@ -128,7 +127,7 @@ def _reduce(work: dict, rows, p: int, steps: list | None = None):
             if old is None:
                 v = -a * dc % p if p else -a * dc
                 work[key] = v
-                y, z = weight_key(key)
+                y, z = key
                 heappush(heap, (-y, -z, key))
                 continue
             v = (old - a * dc) % p if p else old - a * dc
@@ -275,7 +274,6 @@ def _groebner(field: Field, rows, start: GroebnerBasis | None = None) -> Groebne
     char = field.characteristic
     basis = list(start._rows) if start is not None else []
     old = len(basis)
-    leads = [(g[0]._y, g[0]._z) for g in basis]
     active = list(range(old))  # a reduced start: no lead divides another
     pairs = []
     # products, quotients and lcms of covered monomials stay covered, so
@@ -290,12 +288,12 @@ def _groebner(field: Field, rows, start: GroebnerBasis | None = None) -> Groebne
 
     def install(h):
         k = len(basis)
-        hy, hz = h[0]._y, h[0]._z
+        hy, hz = h[0]
         basis.append(h)
 
         def equal_lcm(i, y, z):
             """Whether lead i and lm(h) have the lcm (y, z)."""
-            ly, lz = leads[i]
+            ly, lz = basis[i][0]
             return fieldmax(ly, hy) == y and fieldmax(lz, hz) == z
 
         kept = [
@@ -310,7 +308,7 @@ def _groebner(field: Field, rows, start: GroebnerBasis | None = None) -> Groebne
         # divisibility implies the weight order, so only earlier lcms divide
         new = []
         for i in active:
-            ly, lz = leads[i]
+            ly, lz = basis[i][0]
             y, z = fieldmax(ly, hy), fieldmax(lz, hz)
             new.append((y, z, y != ly + hy or z != lz + hz, i))
         new.sort()
@@ -320,9 +318,8 @@ def _groebner(field: Field, rows, start: GroebnerBasis | None = None) -> Groebne
                 minimal.append((y, z))
                 if shared:
                     heapq.heappush(pairs, (y, z, i, k))
-        active[:] = [i for i in active if not divides(hy, hz, *leads[i])]
+        active[:] = [i for i in active if not divides(hy, hz, *basis[i][0])]
         active.append(k)
-        leads.append((hy, hz))
 
     seen = set()
     for q in rows:
@@ -368,7 +365,7 @@ def _reduce_basis(basis, p: int):
         lm, lc, tail = kept[i]
         rem, scale = _reduce(dict(tail), kept[:i] + kept[i + 1 :], p)
         kept[i] = _row([(lm, lc * scale)] + rem, p)
-    kept.sort(key=lambda g: weight_key(g[0]))
+    kept.sort(key=lambda g: g[0])
     return kept
 
 
@@ -512,7 +509,7 @@ class TwoSidedPresentation:
         else:
             gb = _groebner(self.field, self._module_rows(self.generators, d))
         pi = self.pi
-        pi_ech = Echelon(self.field, sort_key=weight_key)
+        pi_ech = Echelon(self.field)
         for i, p in enumerate(pi):
             pi_ech.insert(dict(poly_normal_form(p, gb).terms), label=i)
         data = (gb, pi, pi_ech)
@@ -584,7 +581,7 @@ def _member(f: BicommElement, pres: TwoSidedPresentation) -> MembershipResult:
     for lm, qm, q, scale in steps:
         c = field.div(field.from_int(q), field.from_int(scale * d))
         cofactors.setdefault(index[lm], {})[qm] = c
-    return MembershipResult(True, mu, span, [(i, Poly(field, cofactors[i])) for i in sorted(cofactors)])
+    return MembershipResult(True, mu, span, [(i, _poly(field, cofactors[i])) for i in sorted(cofactors)])
 
 
 def _member_of(f: BicommElement, gens, side: str) -> MembershipResult:

@@ -1,6 +1,7 @@
 """Exact row reduction over a Field, with dependency tracking.
 
-Vectors are sparse dicts mapping hashable keys to nonzero scalars.  An
+Vectors are sparse dicts mapping hashable keys to nonzero scalars.  A new
+row's pivot is its greatest key, under sort_key when one is given.  An
 Echelon keeps a fully interreduced monic row basis of the span of the
 vectors inserted so far.  Each row remembers a combination expressing it
 in terms of the inserted vectors (by caller-chosen labels), which gives
@@ -19,7 +20,7 @@ class Echelon:
 
     def __init__(self, field: Field, sort_key=None):
         self.field = field
-        self.sort_key = sort_key if sort_key is not None else (lambda k: k)
+        self.sort_key = sort_key
         # rows: list of (pivot, vector, combo); vector is monic at pivot,
         # combo maps inserted labels to scalars with vector = sum of
         # combo[l] * (inserted vector labelled l).

@@ -1,15 +1,17 @@
 """Commutative monomials in two index-matched families of variables y_i, z_i.
 
-A monomial Y^a Z^b is packed into two nonnegative ints, one per family.
-The exponent of y_i (of z_i) sits in the 32-bit field at bit offset
-32 * (i - 1) of the first (second) int.  Exponents stay below 2^31, so the
-top bit of every field is a guard bit that is zero in every monomial;
-indices stay at most 2^20, so one int takes at most 4 MiB.
+A monomial Y^a Z^b is the pair (Y, Z) of two nonnegative ints, one per
+family: Monomial is a tuple, so hashing, equality and ordering run on the
+pair itself, and tuple order is the weight order.  The exponent of y_i (of
+z_i) sits in the 32-bit field at bit offset 32 * (i - 1) of the first
+(second) int.  Exponents stay below 2^31, so the top bit of every field is
+a guard bit that is zero in every monomial; indices stay at most 2^20, so
+one int takes at most 4 MiB.
 Following Bachmann & Schoenemann, *Monomial representations for Groebner
 bases computations* (ISSAC 1998), each operation works on whole ints:
 
 * higher indices sit in higher bits, so comparing the pairs (Y, Z) as
-  tuples is the weight order (see orders.weight_key);
+  tuples is the weight order (see orders);
 * a product adds the pairs, and a guard bit that comes up set means an
   exponent reached 2^31;
 * a quotient subtracts them, and self divides other exactly when
@@ -17,8 +19,8 @@ bases computations* (ISSAC 1998), each operation works on whole ints:
   that borrows sets its own guard bit;
 * an lcm takes the fieldwise maximum through the guard bits.
 
-Products, quotients and lcms of monomials come from a trusted constructor;
-the public constructor validates its (index, exponent) pairs.  The ys and
+Products and quotients of monomials come from a trusted constructor; the
+public constructor validates its (index, exponent) pairs.  The ys and
 zs properties decode the ints into ascending (index, exponent) pairs with
 positive exponents.  Mixed monomials (total y-degree and z-degree both at
 least 1) form the basis of the square of the free bicommutative algebra;
@@ -107,26 +109,32 @@ def check_index_map(phi: dict, indices) -> None:
             raise InvalidIndexMap(f"index {i} not in the domain of the map")
 
 
-class Monomial:
-    __slots__ = ("_y", "_z", "_key", "_hash")
+class Monomial(tuple):
+    """The packed pair (Y, Z); tuple order is the weight order."""
 
-    def __init__(self, ys=(), zs=()):
+    __slots__ = ()
+
+    def __new__(cls, ys=(), zs=()):
         y, z = _pack(ys), _pack(zs)
         nbits = max(y.bit_length(), z.bit_length())
         if nbits > _guard_bits:
             _cover(nbits)
-        self._y = y
-        self._z = z
-        self._key = key = (y, z)
-        self._hash = hash(key)
+        return _new(cls, (y, z))
+
+    # a tuple's concatenation and repetition are no monomial operations
+    __add__ = __rmul__ = None
+
+    def __reduce__(self):
+        # rebuild through the constructor, which also widens the guard mask
+        return Monomial, (self.ys, self.zs)
 
     @property
     def ys(self) -> tuple:
-        return _unpack(self._y)
+        return _unpack(self[0])
 
     @property
     def zs(self) -> tuple:
-        return _unpack(self._z)
+        return _unpack(self[1])
 
     @property
     def ydeg(self) -> int:
@@ -142,15 +150,15 @@ class Monomial:
 
     @property
     def is_unit(self) -> bool:
-        return not self._y and not self._z
+        return not self[0] and not self[1]
 
     @property
     def is_mixed(self) -> bool:
-        return bool(self._y) and bool(self._z)
+        return bool(self[0]) and bool(self[1])
 
     @property
     def max_index(self) -> int:
-        return (max(self._y.bit_length(), self._z.bit_length()) + _WIDTH - 1) // _WIDTH
+        return (max(self[0].bit_length(), self[1].bit_length()) + _WIDTH - 1) // _WIDTH
 
     def indices(self) -> set:
         return {i for i, _ in self.ys} | {i for i, _ in self.zs}
@@ -160,34 +168,34 @@ class Monomial:
         if i < 1:
             return (0, 0)
         shift = _WIDTH * (i - 1)
-        return (self._y >> shift & _FIELD, self._z >> shift & _FIELD)
+        return (self[0] >> shift & _FIELD, self[1] >> shift & _FIELD)
 
     def multidegree(self) -> tuple:
         """Sparse per-index total degree, as ((index, degree), ...)."""
         # two exponents below 2^31 sum below 2^32: no field carries over
-        return _unpack(self._y + self._z)
+        return _unpack(self[0] + self[1])
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        y = self._y + other._y
-        z = self._z + other._z
+        y = self[0] + other[0]
+        z = self[1] + other[1]
         if y & _guard or z & _guard:
             raise ValueError(f"exponent of {self} * {other} must stay below 2^31")
-        return _monomial(y, z)
+        return _new(Monomial, (y, z))
 
     def divides(self, other: "Monomial") -> bool:
-        d = other._y - self._y
+        d = other[0] - self[0]
         if d < 0 or d & _guard:
             return False
-        d = other._z - self._z
+        d = other[1] - self[1]
         return d >= 0 and not d & _guard
 
     def div(self, other: "Monomial") -> "Monomial":
         """Quotient self / other; other must divide self."""
-        y = self._y - other._y
-        z = self._z - other._z
+        y = self[0] - other[0]
+        z = self[1] - other[1]
         if y < 0 or z < 0 or y & _guard or z & _guard:
             raise ValueError(f"{other} does not divide {self}")
-        return _monomial(y, z)
+        return _new(Monomial, (y, z))
 
     def apply_index_map(self, phi: dict) -> "Monomial":
         """Rename indices through phi, which must be strictly increasing."""
@@ -200,12 +208,6 @@ class Monomial:
             ((phi[i], e) for i, e in self.ys),
             ((phi[i], e) for i, e in self.zs),
         )
-
-    def __eq__(self, other):
-        return isinstance(other, Monomial) and self._key == other._key
-
-    def __hash__(self):
-        return self._hash
 
     def __str__(self):
         if self.is_unit:
@@ -220,17 +222,12 @@ class Monomial:
         return f"Monomial({self})"
 
 
-_new = object.__new__
+_new = tuple.__new__
 
 
 def _monomial(y: int, z: int) -> Monomial:
     """Trusted constructor from packed ints with clear guard bits."""
-    m = _new(Monomial)
-    m._y = y
-    m._z = z
-    m._key = key = (y, z)
-    m._hash = hash(key)
-    return m
+    return _new(Monomial, (y, z))
 
 
 ONE = Monomial()

@@ -21,24 +21,20 @@ from .errors import NoWeight
 from .monomials import Monomial
 
 
-def weight_key(m: Monomial) -> tuple:
+def weight_key(m: Monomial) -> Monomial:
     """Sort key realizing the weight order: bigger key = bigger monomial.
 
-    It is the monomial's packed pair (Y, Z): higher indices sit in higher
-    bits, so comparing Y compares the y-exponents from the highest index
-    down, and Z breaks ties the same way.
+    It is the monomial itself.  A monomial is the packed pair (Y, Z), and
+    tuple order is the weight order: higher indices sit in higher bits, so
+    comparing Y compares the y-exponents from the highest index down, and
+    Z breaks ties the same way.
     """
-    return m._key
+    return m
 
 
 def weight_compare(a: Monomial, b: Monomial) -> int:
     """Return -1, 0, or 1 as a <, ==, > b in the weight order."""
-    ka, kb = weight_key(a), weight_key(b)
-    if ka < kb:
-        return -1
-    if ka > kb:
-        return 1
-    return 0
+    return (a > b) - (a < b)
 
 
 def weight_of(element):
@@ -107,7 +103,7 @@ def minimal_antichain(monomials) -> list:
     The result is sorted ascending in the weight order so that repeated
     runs produce identical output.
     """
-    unique = sorted(set(monomials), key=weight_key)
+    unique = sorted(set(monomials))
     out = []
     for m in unique:
         if not any(other != m and higman_leq(other, m) for other in unique):

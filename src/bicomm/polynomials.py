@@ -19,12 +19,8 @@ class Poly:
 
     def __init__(self, field: Field, terms=None):
         self.field = field
-        self.terms = {}
+        self.terms = {m: v for m, c in dict(terms or ()).items() if (v := field.canonical(c))}
         self._lead = None
-        if terms:
-            for m, c in dict(terms).items():
-                if c:
-                    self.terms[m] = c
 
     @classmethod
     def zero(cls, field: Field) -> "Poly":

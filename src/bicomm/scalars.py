@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DivisionByZero, FieldMismatch, InvalidField
+from .errors import BadElement, DivisionByZero, FieldMismatch, InvalidField
 
 
 def _is_prime(n: int) -> bool:
@@ -82,6 +82,17 @@ class Field:
     def from_int(self, n: int):
         p = self.characteristic
         return n % p if p else n
+
+    def canonical(self, a):
+        """The element that an int or Fraction a stands for: its residue
+        over F_p, a itself over Q.  Any other type, bool included, raises
+        BadElement."""
+        if type(a) is bool or not isinstance(a, (int, Fraction)):
+            raise BadElement(f"coefficient must be an int or a Fraction, got {a!r}")
+        p = self.characteristic
+        if p and isinstance(a, Fraction):
+            return self.div(a.numerator % p, a.denominator % p)
+        return a % p if p else a
 
     def add(self, a, b):
         p = self.characteristic

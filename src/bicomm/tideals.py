@@ -35,9 +35,9 @@ from .errors import (
     WrongCharacteristic,
 )
 from .linalg import Echelon
-from .monomials import Monomial
-from .orders import higman_embedding, higman_leq, minimal_antichain, weight_key, weight_of
-from .polynomials import Poly
+from .monomials import ONE, Monomial
+from .orders import higman_embedding, higman_leq, minimal_antichain, weight_of
+from .polynomials import Poly, _poly
 from .scalars import Field
 
 
@@ -68,7 +68,7 @@ class Substitution:
 
 
 def _poly_pow(p: Poly, e: int) -> Poly:
-    out = Poly(p.field, {Monomial(): p.field.one})
+    out = _poly(p.field, {ONE: p.field.one})
     for _ in range(e):
         out = out.mul(p)
     return out
@@ -100,7 +100,7 @@ def apply_substitution(f: BicommElement, sigma: Substitution) -> BicommElement:
         out = out.add_scaled(c, sigma.image(i, field))
     quad = Poly.zero(field)
     for m, c in f.quad.terms.items():
-        prod = Poly(field, {Monomial(): field.one})
+        prod = _poly(field, {ONE: field.one})
         for i, e in m.ys:
             prod = prod.mul(_poly_pow(t_of(i), e))
         for j, e in m.zs:
@@ -249,11 +249,11 @@ class _BoundedClosure:
         if field is None:
             return []
         if self.any_linear:
-            monos = sorted(_iter_splits(dict(mu), mixed_only=True), key=weight_key)
-            return [Poly(field, {m: field.one}) for m in reversed(monos)]
+            monos = sorted(_iter_splits(dict(mu), mixed_only=True))
+            return [_poly(field, {m: field.one}) for m in reversed(monos)]
         rows = self._echelon(mu).rows
-        ordered = sorted(rows, key=lambda r: weight_key(r[0]), reverse=True)
-        return [Poly(field, vec) for _, vec, _ in ordered]
+        ordered = sorted(rows, key=lambda r: r[0], reverse=True)
+        return [_poly(field, dict(vec)) for _, vec, _ in ordered]
 
     def _echelon(self, mu: dict) -> Echelon:
         key = _multidegree_key(mu)
@@ -261,7 +261,7 @@ class _BoundedClosure:
         if ech is not None:
             return ech
         mu = dict(key)
-        ech = Echelon(self.field, sort_key=weight_key)
+        ech = Echelon(self.field)
         variables = range(1, max(mu) + 1)
         bound = tuple(mu.get(v, 0) for v in variables)
         options = [
@@ -456,7 +456,7 @@ def specht_reduce(g: BicommElement, basis, trace=None) -> BicommElement:
         h = lift_weight(chosen, w)
         mu = weight_of(h)[1]
         work = work.add_scaled(field.neg(field.div(nu, mu)), h)
-        if not work.quad.is_zero and weight_key(weight_of(work)[0]) >= weight_key(w):
+        if not work.quad.is_zero and weight_of(work)[0] >= w:
             raise AssertionError("reduction failed to decrease the weight")
     return work
 
@@ -543,7 +543,7 @@ def specht_basis_search(gens, window: ClosureWindow) -> SpechtSearchResult:
         if not r.is_zero:
             basis.append(r)
     spanning = spanning_shift_multiples(gens, window)
-    ech = Echelon(field, sort_key=weight_key)
+    ech = Echelon(field)
     for v in spanning:
         ech.insert(dict(v.quad.terms))
     pivots = ech.pivots()

@@ -12,19 +12,20 @@ from itertools import combinations_with_replacement, permutations, product
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bicomm.algebra import (
     BicommElement,
+    _element,
     graded_dimension,
     multilinear_dimension,
     normalize,
     normalize_term,
 )
-from bicomm.errors import BadElement, InvalidIndexMap
+from bicomm.errors import BadElement, DivisionByZero, InvalidIndexMap
 from bicomm.monomials import Monomial, parse_monomial as pm
-from bicomm.polynomials import Poly
+from bicomm.polynomials import Poly, _poly
 from bicomm.terms import Leaf, NAPolynomial, Node, parse_expression, print_term
 from conftest import QQ, F2, F3, element, quad_element, random_element, random_quad_element
 
@@ -281,6 +282,54 @@ def test_products_equal_the_validated_element(data):
     for c in p.quad.terms.values():
         assert type(c) in (int, Fraction)
         assert field.is_rationals or 0 < c < field.characteristic
+
+
+_raw_scalars = st.one_of(
+    st.integers(-12, 12), st.fractions(min_value=-12, max_value=12, max_denominator=6)
+)
+
+
+def _field_value(field, a):
+    """The element that a stands for, in Field arithmetic alone."""
+    if isinstance(a, Fraction):
+        return field.div(field.from_int(a.numerator), field.from_int(a.denominator))
+    return field.from_int(a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fields, st.dictionaries(st.integers(1, 3), _raw_scalars, max_size=3), _raw_scalars)
+def test_public_constructors_store_canonical_coefficients(field, lin, c):
+    """An int or Fraction coefficient is stored as the element it stands for:
+    over F_p its residue, so an element is zero exactly when every
+    coefficient vanishes mod p."""
+    assume(all(field.is_rationals or Fraction(a).denominator % field.characteristic
+               for a in list(lin.values()) + [c]))
+    m = pm("y1*z2")
+    want_lin = {i: v for i, a in lin.items() if (v := _field_value(field, a))}
+    want_c = _field_value(field, c)
+    e = BicommElement(field, lin, Poly(field, {m: c}))
+    assert e.lin == want_lin and type(e.lin) is dict
+    assert e.quad.terms == ({m: want_c} if want_c else {})
+    assert e.is_zero == (not want_lin and not want_c)
+    assert e == _element(field, want_lin, _poly(field, {m: want_c} if want_c else {}))
+    for v in list(e.lin.values()) + list(e.quad.terms.values()):
+        assert type(v) in (int, Fraction)
+        assert field.is_rationals or 0 < v < field.characteristic
+    assert str(e) == str(BicommElement(field, want_lin, Poly(field, {m: want_c})))
+
+
+def test_public_constructors_reject_coefficients_that_are_no_scalars():
+    m = pm("y1*z1")
+    for field in (QQ, F3):
+        for bad in (1.5, 0.0, True, "1", None):
+            with pytest.raises(BadElement):
+                BicommElement(field, {1: bad})
+            with pytest.raises(BadElement):
+                Poly(field, {m: bad})
+    with pytest.raises(DivisionByZero):
+        BicommElement(F3, {1: Fraction(1, 3)})
+    assert str(BicommElement(F3, {1: 3, 2: -1})) == "2*x2"
+    assert BicommElement(F3, {1: 3}).is_zero
 
 
 def test_mixed_only_invariant_enforced():

@@ -149,7 +149,8 @@ def _one_sided_closure(gens, var_range, cap, side):
 def _lcm(a: Monomial, b: Monomial) -> Monomial:
     """lcm of two monomials, as the pair queue of _groebner takes it: the
     fieldwise maximum of the packed pairs."""
-    return _monomial(_fieldmax(a._y, b._y), _fieldmax(a._z, b._z))
+    (ay, az), (by, bz) = a, b
+    return _monomial(_fieldmax(ay, by), _fieldmax(az, bz))
 
 
 # references in Field arithmetic for the integer loops of ideals: the

@@ -1,5 +1,7 @@
 """Packed two-family monomials: arithmetic, parsing, index maps."""
 
+import copy
+import pickle
 import random
 import time
 import tracemalloc
@@ -19,7 +21,8 @@ SEED = 1009
 def _lcm(a, b):
     """lcm through the fieldwise maximum of the packed pairs, which the
     pair queue of the Groebner loop runs."""
-    return _monomial(_fieldmax(a._y, b._y), _fieldmax(a._z, b._z))
+    (ay, az), (by, bz) = a, b
+    return _monomial(_fieldmax(ay, by), _fieldmax(az, bz))
 
 
 def _random_monomial(rng, max_index=4, max_exp=3):
@@ -117,6 +120,21 @@ def test_equality_and_hash():
     assert len({a, b, parse_monomial("y1*z2"), parse_monomial("z2*y1")}) == 1
 
 
+def test_copies_rebuild_and_tuple_operators_stay_off():
+    """A monomial is the tuple (Y, Z): copies and pickles rebuild it through
+    the constructor, and tuple concatenation and repetition raise."""
+    for m in (Monomial(), parse_monomial("y1^2*z3"), parse_monomial("y200^5*z7*z150")):
+        for copied in [copy.copy(m), copy.deepcopy(m)] + [
+            pickle.loads(pickle.dumps(m, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+        ]:
+            assert type(copied) is Monomial
+            assert copied == m and hash(copied) == hash(m) and str(copied) == str(m)
+        with pytest.raises(TypeError):
+            m + m
+        with pytest.raises(TypeError):
+            3 * m
+
+
 # --- packed exponent vectors against a plain dict-of-exponents reference ------
 
 LIMIT = 1 << 31  # exponents stay below the guard bit of their 32-bit field
@@ -196,6 +214,7 @@ def test_packed_arithmetic_matches_the_dict_reference(a, b):
 
     old_a, old_b = _old_weight_key(a), _old_weight_key(b)
     assert (weight_key(ma) < weight_key(mb)) == (old_a < old_b)
+    assert (ma < mb) == (old_a < old_b)
     assert (weight_key(ma) == weight_key(mb)) == (old_a == old_b)
 
 
