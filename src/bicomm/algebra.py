@@ -111,10 +111,11 @@ class BicommElement:
         return self.scale(self.field.neg(self.field.one))
 
     def scale(self, coeff) -> "BicommElement":
+        coeff = self.field.canonical(coeff)
         if not coeff:
             return BicommElement.zero(self.field)
         lin = {i: self.field.mul(coeff, c) for i, c in self.lin.items()}
-        return BicommElement(self.field, lin, self.quad.scale(coeff))
+        return _element(self.field, lin, self.quad.scale(coeff))
 
     def multiply(self, other: "BicommElement") -> "BicommElement":
         """Algebra product; the result always lies in the square.

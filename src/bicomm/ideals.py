@@ -27,7 +27,7 @@ from . import monomials
 from .algebra import BicommElement
 from .errors import BadChain, UnsupportedGenerator
 from .linalg import Echelon
-from .monomials import Monomial, _monomial
+from .monomials import Monomial, _monomial, _new, y_variable, z_variable
 from .polynomials import Poly, _poly
 from .scalars import Field
 
@@ -71,13 +71,83 @@ def _emit(field: Field, pairs, d: int) -> Poly:
     return _poly(field, {m: mul(c, inv) for m, c in pairs})
 
 
+class _Leads:
+    """A row list (see _row), rows, with an index over the packed leading
+    monomials, for finding the first row whose lead divides a term.
+
+    The key of a monomial (Y, Z) is its support as one int: the guard bit
+    of each nonzero field of Y, and that of Z moved one bit down.  A lead
+    divides a term only when the lead's key bits are among the term's, so
+    candidates maps a term key to the (Y, Z, position) of the rows whose
+    leads pass that test, in row order; the first of them whose lead
+    divides the term is the first such row of the list.  A list is built
+    when its key is first looked up (find), and rows appended later are
+    appended to the lists they belong to (append).
+
+    Keys and divisibility tests read only the fields below width, the
+    fields of the leads: a lead has no support above them, and a field
+    where a term lacks a lead's exponent is one of them.  So guard is the
+    guard mask of those fields, however wide the monomials elsewhere are.
+    """
+
+    __slots__ = ("rows", "keys", "entries", "width", "guard", "low", "candidates")
+
+    def __init__(self, rows: list):
+        self.rows = rows
+        bits = 0
+        for (y, z), _, _ in rows:
+            bits |= y | z
+        self._cover(bits.bit_length())
+        low, g = self.low, self.guard
+        self.entries = entries = [(y, z, i) for i, ((y, z), _, _) in enumerate(rows)]
+        self.keys = [((y + low) & g) | (((z + low) & g) >> 1) for y, z, _ in entries]
+        self.candidates = {}
+
+    def _cover(self, nbits: int) -> None:
+        """Widen the masks to the fields of an nbits-bit lead.  The keys of
+        the leads stay as they are, and so do the candidate lists: a term
+        key from the wider masks that equals a key from the narrower ones
+        belongs to a term without support in the added fields."""
+        width = monomials._WIDTH
+        self.width = -(-nbits // width) * width
+        g = self.guard = monomials._guard & ((1 << self.width) - 1)
+        self.low = g - (g >> (width - 1))
+
+    def append(self, row) -> None:
+        """Append row to rows and index its lead."""
+        self.rows.append(row)
+        y, z = row[0]
+        if y.bit_length() > self.width or z.bit_length() > self.width:
+            self._cover(max(y.bit_length(), z.bit_length()))
+        low, g = self.low, self.guard
+        key = ((y + low) & g) | (((z + low) & g) >> 1)
+        entry = (y, z, len(self.entries))
+        self.keys.append(key)
+        self.entries.append(entry)
+        for k, found in self.candidates.items():
+            if key & k == key:
+                found.append(entry)
+
+    def find(self, key: int) -> list:
+        """The candidates of the term key, built and kept on first use."""
+        found = self.candidates[key] = [e for k, e in zip(self.keys, self.entries) if k & key == k]
+        return found
+
+
 def _reduce(work: dict, rows, p: int, steps: list | None = None):
-    """Fully reduce the integer polynomial work (consumed) by integer rows.
+    """Fully reduce the integer polynomial work (consumed) by integer rows,
+    a list or a _Leads over one.
 
     Terms are taken greatest first from a heap, each divided by the first
     row whose lead divides it.  A popped monomial no longer in work (it
     cancelled, or an earlier entry for it was taken) is skipped; it cannot
     come back, since every term that enters after a pop is smaller.
+
+    The divisor is found through the index of _Leads, built here for a
+    plain list: only the rows listed under the term's support key are
+    tested, in row order, on the packed ints.
+    Quotient and tail products are packed sums, and a guard bit set in
+    a product raises ValueError like a product of Monomials.
 
     Over F_p the rows are monic.  Over the rationals a step whose row
     lead lc does not divide the coefficient a first multiplies work by
@@ -91,25 +161,37 @@ def _reduce(work: dict, rows, p: int, steps: list | None = None):
     subtracts (q * lc) / (scale * d) * qm times the monic row from f:
     these terms, collected per row, are f's cofactors.
     """
-    heap = []
-    for m in work:
-        y, z = m
-        heap.append((-y, -z, m))
+    leads = rows if isinstance(rows, _Leads) else _Leads(rows)
+    rows = leads.rows
+    low, guard, candidates = leads.low, leads.guard, leads.candidates
+    limit = monomials._guard
+    # work may hold plain (Y, Z) tuples, which hash and compare like the
+    # Monomials they stand for; the remainder gets Monomials
+    heap = [(-m[0], -m[1], m) for m in work]
     heapq.heapify(heap)
     heappop, heappush, gcd = heapq.heappop, heapq.heappush, math.gcd
     rem = []
     scale = 1
     while heap:
-        m = heappop(heap)[2]
+        y, z, m = heappop(heap)
         a = work.pop(m, None)
         if a is None:
             continue
-        for lm, lc, tail in rows:
-            if lm.divides(m):
-                break
+        y, z = -y, -z
+        key = ((y + low) & guard) | (((z + low) & guard) >> 1)
+        found = candidates.get(key)
+        if found is None:
+            found = leads.find(key)
+        for ly, lz, pos in found:
+            qy = y - ly
+            if qy >= 0 and not qy & guard:
+                qz = z - lz
+                if qz >= 0 and not qz & guard:
+                    break
         else:
             rem.append((m, a, scale))
             continue
+        lm, lc, tail = rows[pos]
         if lc != 1:
             g = gcd(a, lc)
             if g != lc:
@@ -118,17 +200,18 @@ def _reduce(work: dict, rows, p: int, steps: list | None = None):
                     work[k] *= f
                 scale *= f
             a //= g
-        qm = m.div(lm)
         if steps is not None:
-            steps.append((lm, qm, a * lc, scale))
-        for dm, dc in tail:
-            key = dm * qm
+            steps.append((lm, _monomial(qy, qz), a * lc, scale))
+        for (ty, tz), dc in tail:
+            ty += qy
+            tz += qz
+            if (ty | tz) & limit:
+                raise ValueError(f"exponent of {_monomial(qy, qz)} times the tail of {lm} must stay below 2^31")
+            key = (ty, tz)
             old = work.get(key)
             if old is None:
-                v = -a * dc % p if p else -a * dc
-                work[key] = v
-                y, z = key
-                heappush(heap, (-y, -z, key))
+                work[key] = -a * dc % p if p else -a * dc
+                heappush(heap, (-ty, -tz, key))
                 continue
             v = (old - a * dc) % p if p else old - a * dc
             if v:
@@ -136,22 +219,32 @@ def _reduce(work: dict, rows, p: int, steps: list | None = None):
             else:
                 del work[key]
     if scale != 1:
-        return [(m, a * (scale // s)) for m, a, s in rem], scale
-    return [(m, a) for m, a, _ in rem], 1
+        return [(_new(Monomial, m), a * (scale // s)) for m, a, s in rem], scale
+    return [(_new(Monomial, m), a) for m, a, _ in rem], 1
 
 
-def _spair(f, g, lcm: Monomial, p: int) -> dict:
-    """Integer S-polynomial of two rows with lead lcm, whose leading
-    terms cancel and are left out: a nonzero multiple of
-    (lcm / lt(f)) f - (lcm / lt(g)) g."""
-    lf, af, tf = f
-    lg, ag, tg = g
-    u, v = lcm.div(lf), lcm.div(lg)
+def _spair(f, g, lcm, p: int) -> dict:
+    """Integer S-polynomial of two rows with lead lcm, a packed pair whose
+    leading terms cancel and are left out: a nonzero multiple of
+    (lcm / lt(f)) f - (lcm / lt(g)) g, keyed by plain (Y, Z) tuples."""
+    y, z = lcm
+    (fy, fz), af, tf = f
+    (gy, gz), ag, tg = g
+    uy, uz, vy, vz = y - fy, z - fz, y - gy, z - gz
     c = math.gcd(af, ag)
     cf, cg = ag // c, af // c
-    work = {m * u: cf * a for m, a in tf}
-    for m, a in tg:
-        key = m * v
+    work = {}
+    bits = 0
+    for (my, mz), a in tf:
+        my += uy
+        mz += uz
+        bits |= my | mz
+        work[my, mz] = cf * a
+    for (my, mz), a in tg:
+        my += vy
+        mz += vz
+        bits |= my | mz
+        key = (my, mz)
         x = work.get(key, 0) - cg * a
         if p:
             x %= p
@@ -159,7 +252,17 @@ def _spair(f, g, lcm: Monomial, p: int) -> dict:
             work[key] = x
         else:
             work.pop(key, None)
+    if bits & monomials._guard:
+        raise ValueError(f"exponents of the S-polynomial at {_monomial(y, z)} must stay below 2^31")
     return work
+
+
+def _shape(row):
+    """The coefficients of a row with its monomials as offsets from its
+    lead.  Two rows that are one row shifted by two monomials have equal
+    shapes, and then their S-polynomial is zero."""
+    (ly, lz), lc, tail = row
+    return lc, tuple((ly - y, lz - z, c) for (y, z), c in tail)
 
 
 def poly_normal_form(p: Poly, basis) -> Poly:
@@ -240,6 +343,10 @@ def buchberger(gens, field: Field | None = None, start: GroebnerBasis | None = N
     * Active elements whose leading monomial lm(h) divides become
       inactive: they form no more pairs, but stay in the basis and
       reduce like any other.
+    * Shifted copies: a pair that M and F keep is not queued when its two
+      elements are one row shifted by two monomials (equal _shape),
+      because its S-polynomial is exactly zero.  Its lcm still prunes
+      the other new pairs under M and F, as if it had been treated.
 
     Pending pairs are selected by smallest lcm (normal strategy) with
     index tiebreak, and each S-polynomial that does not reduce to zero by
@@ -249,8 +356,11 @@ def buchberger(gens, field: Field | None = None, start: GroebnerBasis | None = N
 
     The pair queue works on packed leading monomials (see monomials): an
     entry (Y, Z, i, j) is the pair i < j whose lcm packs to (Y, Z), so
-    the heap order is the weight order of the lcms.  The rest runs on
-    integer forms (see _row), fraction-free: over the rationals the
+    the heap order is the weight order of the lcms, and the criteria
+    test divisibility and take lcms on the packed ints.  The basis is
+    held with an index of its leading monomials (see _Leads), which
+    every reduction by it shares and which grows with it.  The rest runs
+    on integer forms (see _row), fraction-free: over the rationals the
     coefficients stay coprime integers, and the result holds these rows;
     its generators are made monic only when read (see GroebnerBasis).
     """
@@ -272,55 +382,11 @@ def buchberger(gens, field: Field | None = None, start: GroebnerBasis | None = N
 def _groebner(field: Field, rows, start: GroebnerBasis | None = None) -> GroebnerBasis:
     """buchberger on nonzero integer rows (see _row) of gens."""
     char = field.characteristic
-    basis = list(start._rows) if start is not None else []
-    old = len(basis)
+    basis = _Leads(list(start._rows) if start is not None else [])
+    shapes = [_shape(row) for row in basis.rows]
+    old = len(basis.rows)
     active = list(range(old))  # a reduced start: no lead divides another
     pairs = []
-    # products, quotients and lcms of covered monomials stay covered, so
-    # the mask does not change while the basis grows
-    guard = monomials._guard
-    fieldmax = monomials._fieldmax
-
-    def divides(y, z, by, bz):
-        """Whether the packed monomial (y, z) divides (by, bz)."""
-        dy, dz = by - y, bz - z
-        return dy >= 0 and dz >= 0 and not (dy & guard or dz & guard)
-
-    def install(h):
-        k = len(basis)
-        hy, hz = h[0]
-        basis.append(h)
-
-        def equal_lcm(i, y, z):
-            """Whether lead i and lm(h) have the lcm (y, z)."""
-            ly, lz = basis[i][0]
-            return fieldmax(ly, hy) == y and fieldmax(lz, hz) == z
-
-        kept = [
-            (y, z, i, j)
-            for y, z, i, j in pairs
-            if not divides(hy, hz, y, z) or equal_lcm(i, y, z) or equal_lcm(j, y, z)
-        ]  # criterion B
-        if len(kept) < len(pairs):
-            heapq.heapify(kept)
-            pairs[:] = kept
-        # new pairs by ascending lcm, coprime ones first among equal lcms;
-        # divisibility implies the weight order, so only earlier lcms divide
-        new = []
-        for i in active:
-            ly, lz = basis[i][0]
-            y, z = fieldmax(ly, hy), fieldmax(lz, hz)
-            new.append((y, z, y != ly + hy or z != lz + hz, i))
-        new.sort()
-        minimal = []
-        for y, z, shared, i in new:
-            if not any(divides(my, mz, y, z) for my, mz in minimal):  # criteria M and F
-                minimal.append((y, z))
-                if shared:
-                    heapq.heappush(pairs, (y, z, i, k))
-        active[:] = [i for i in active if not divides(hy, hz, *basis[i][0])]
-        active.append(k)
-
     seen = set()
     for q in rows:
         if start is not None:
@@ -333,37 +399,103 @@ def _groebner(field: Field, rows, start: GroebnerBasis | None = None) -> Groebne
             q = _row(rem, char)
         if q not in seen:
             seen.add(q)
-            install(q)
-    if start is not None and len(basis) == old:
-        return GroebnerBasis(field, basis)
+            _install(q, basis, shapes, active, pairs)
+    if start is not None and len(basis.rows) == old:
+        return GroebnerBasis(field, basis.rows)
 
     while pairs:
         y, z, i, j = heapq.heappop(pairs)
-        r, _ = _reduce(_spair(basis[i], basis[j], _monomial(y, z), char), basis, char)
+        r, _ = _reduce(_spair(basis.rows[i], basis.rows[j], (y, z), char), basis, char)
         if r:
-            install(_row(r, char))
+            _install(_row(r, char), basis, shapes, active, pairs)
 
     return GroebnerBasis(field, _reduce_basis(basis, char))
 
 
-def _reduce_basis(basis, p: int):
+def _install(h, basis: _Leads, shapes: list, active: list, pairs: list) -> None:
+    """Append the row h to the basis as an active element, and update the
+    pair heap and the active list by the criteria of buchberger."""
+    k = len(basis.rows)
+    basis.append(h)
+    shape = _shape(h)
+    shapes.append(shape)
+    hy, hz = h[0]
+    # the guard bits of the leads' fields cover every lead and lcm here
+    g = basis.guard
+    # lcm(lead i, lm(h)) per index: monomials._fieldmax inlined.  The guard
+    # bit of a field of (a | g) - b is set where a >= b, and ge - (ge >> 31)
+    # sets the 31 value bits of those fields.
+    entries = basis.entries
+    lcms = []
+    for ly, lz, _ in entries[:k]:
+        ge = ((ly | g) - hy) & g
+        y = hy ^ ((ly ^ hy) & (ge - (ge >> 31)))
+        ge = ((lz | g) - hz) & g
+        lcms.append((y, hz ^ ((lz ^ hz) & (ge - (ge >> 31)))))
+    # criterion B
     kept = []
-    for i, (lm, _, _) in enumerate(basis):
-        redundant = False
-        for j, h in enumerate(basis):
-            if i == j:
-                continue
-            lmh = h[0]
-            if lmh.divides(lm) and (lmh != lm or j < i):
-                redundant = True
+    for pair in pairs:
+        y, z, i, j = pair
+        dy, dz = y - hy, z - hz
+        if dy < 0 or dz < 0 or dy & g or dz & g or lcms[i] == (y, z) or lcms[j] == (y, z):
+            kept.append(pair)
+    if len(kept) < len(pairs):
+        heapq.heapify(kept)
+        pairs[:] = kept
+    # new pairs by ascending lcm, coprime ones first among equal lcms;
+    # divisibility implies the weight order, so only earlier lcms divide.
+    # Elements whose lead lm(h) divides leave the active list.
+    new = []
+    still = []
+    for i in active:
+        ly, lz, _ = entries[i]
+        y, z = lcms[i]
+        new.append((y, z, y != ly + hy or z != lz + hz, i))
+        dy, dz = ly - hy, lz - hz
+        if dy < 0 or dz < 0 or dy & g or dz & g:
+            still.append(i)
+    still.append(k)
+    active[:] = still
+    new.sort()
+    minimal = []
+    for y, z, shared, i in new:
+        for my, mz in minimal:  # criteria M and F
+            dy, dz = y - my, z - mz
+            if dy >= 0 and dz >= 0 and not (dy & g or dz & g):
                 break
-        if not redundant:
-            kept.append(basis[i])
+        else:
+            minimal.append((y, z))
+            if shared and shapes[i] != shape:
+                heapq.heappush(pairs, (y, z, i, k))
+
+
+def _reduce_basis(basis, p: int):
+    """Minimalized, interreduced and sorted rows of a Groebner basis given
+    as a row list or a _Leads over one."""
+    leads = basis if isinstance(basis, _Leads) else _Leads(basis)
+    low, guard = leads.low, leads.guard
+    kept = []
+    for i, row in enumerate(leads.rows):
+        y, z = row[0]
+        key = ((y + low) & guard) | (((z + low) & guard) >> 1)
+        found = leads.candidates.get(key)
+        if found is None:
+            found = leads.find(key)
+        # redundant: another lead divides it, or an earlier one equals it
+        for ly, lz, j in found:
+            dy, dz = y - ly, z - lz
+            if dy >= 0 and dz >= 0 and not (dy & guard or dz & guard) and (dy or dz or j < i):
+                break
+        else:
+            kept.append(row)
     # leading monomials of a minimal basis are unchanged by tail
-    # reduction, so one pass leaves every element reduced
-    for i in range(len(kept)):
-        lm, lc, tail = kept[i]
-        rem, scale = _reduce(dict(tail), kept[:i] + kept[i + 1 :], p)
+    # reduction, so one pass leaves every element reduced.  No term of a
+    # row's tail is divisible by its own lead, so each tail is divided by
+    # the list as it stands, itself included, with the same steps as by
+    # the other rows alone.
+    leads = _Leads(kept)
+    for i, (lm, lc, tail) in enumerate(kept):
+        rem, scale = _reduce(dict(tail), leads, p)
         kept[i] = _row([(lm, lc * scale)] + rem, p)
     kept.sort(key=lambda g: g[0])
     return kept
@@ -463,11 +595,14 @@ class TwoSidedPresentation:
         """Generators of the module ideal contributed by gens, indices up
         to d, as distinct integer rows (see _row): the rows of s(g) and
         t(g) (two-sided) or of the quadratic part (one-sided), shifted by
-        y_j and z_j.  A shift keeps a row's order and canonical form."""
+        y_j and z_j.  A shift keeps a row's order and canonical form; it
+        adds the packed ints, and a guard bit set in a sum raises
+        ValueError like a product of Monomials."""
         out = []
         seen = set()
-        ys = [Monomial([(j, 1)], []) for j in range(1, d + 1)]
-        zs = [Monomial([], [(j, 1)]) for j in range(1, d + 1)]
+        ys = [y_variable(j) for j in range(1, d + 1)]
+        zs = [z_variable(j) for j in range(1, d + 1)]
+        guard = monomials._guard
         for g in gens:
             if self.side == "two":
                 parts = [(g.s_poly(), ys), (g.t_poly(), zs)]
@@ -475,9 +610,20 @@ class TwoSidedPresentation:
                 parts = [(g.quad, ys if self.side == "left" else zs)]
             rows = [(_poly_row(p), shifts) for p, shifts in parts if not p.is_zero]
             for j in range(d):
-                for (lm, lc, tail), shifts in rows:
-                    v = shifts[j]
-                    q = (lm * v, lc, tuple((m * v, c) for m, c in tail))
+                for ((ly, lz), lc, tail), shifts in rows:
+                    vy, vz = shifts[j]
+                    ly += vy
+                    lz += vz
+                    bits = ly | lz
+                    shifted = []
+                    for (my, mz), c in tail:
+                        my += vy
+                        mz += vz
+                        bits |= my | mz
+                        shifted.append((_new(Monomial, (my, mz)), c))
+                    if bits & guard:
+                        raise ValueError(f"exponents of the rows shifted by {shifts[j]} must stay below 2^31")
+                    q = (_new(Monomial, (ly, lz)), lc, tuple(shifted))
                     if q not in seen:
                         seen.add(q)
                         out.append(q)

@@ -12,15 +12,21 @@ class Poly:
 
     Zero coefficients are never stored.  Instances are treated as
     immutable by convention: all operations return new polynomials, and
-    the leading term is cached on first use.
+    the leading term and the hash are cached on first use.  Copies and
+    pickles rebuild through the constructor, so no cached hash travels to
+    another process.
     """
 
-    __slots__ = ("field", "terms", "_lead")
+    __slots__ = ("field", "terms", "_lead", "_hash")
 
     def __init__(self, field: Field, terms=None):
         self.field = field
         self.terms = {m: v for m, c in dict(terms or ()).items() if (v := field.canonical(c))}
         self._lead = None
+        self._hash = None
+
+    def __reduce__(self):
+        return Poly, (self.field, self.terms)
 
     @classmethod
     def zero(cls, field: Field) -> "Poly":
@@ -87,13 +93,14 @@ class Poly:
         return _poly(self.field, acc)
 
     def scale(self, coeff) -> "Poly":
+        coeff = self.field.canonical(coeff)
         if not coeff:
             return Poly.zero(self.field)
         mul = self.field.mul
         return _poly(self.field, {m: mul(coeff, c) for m, c in self.terms.items()})
 
     def mul_monomial(self, m: Monomial, coeff=None) -> "Poly":
-        c = self.field.one if coeff is None else coeff
+        c = self.field.one if coeff is None else self.field.canonical(coeff)
         if not c:
             return Poly.zero(self.field)
         mul = self.field.mul
@@ -139,7 +146,10 @@ class Poly:
         )
 
     def __hash__(self):
-        return hash((self.field, frozenset(self.terms.items())))
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.field, frozenset(self.terms.items())))
+        return h
 
     def __str__(self):
         if self.is_zero:
@@ -160,6 +170,7 @@ def _poly(field: Field, terms: dict) -> Poly:
     p.field = field
     p.terms = terms
     p._lead = None
+    p._hash = None
     return p
 
 

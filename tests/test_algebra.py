@@ -353,6 +353,17 @@ def test_vector_space_operations():
     )
 
 
+def test_scaling_by_a_multiple_of_p_gives_zero():
+    for field, p in ((F2, 2), (F3, 3)):
+        e = element(field, lin={1: 1}, quad=[("y1*z1", 1), ("y2*z1", p - 1)])
+        for c in (p, -p, 2 * p):
+            assert e.scale(c).is_zero and str(e.scale(c)) == "0"
+            assert e.scale(c) == BicommElement.zero(field)
+        assert e.scale(p + 1) == e and str(e.scale(p + 1)) == str(e)
+    assert str(quad_element(F3, ("y1*z1", 1)).scale(3)) == "0"
+    assert element(F3, lin={2: 1}, quad=[("y1*z2", 2)]).scale(5).quad.terms == {pm("y1*z2"): 1}
+
+
 def test_t_and_s_polynomials():
     rng = random.Random(SEED)
     e = element(QQ, lin={2: 3}, quad=[("y1*z1", 1)])

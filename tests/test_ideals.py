@@ -3,6 +3,7 @@ built directly from generator actions."""
 
 import heapq
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -262,6 +263,72 @@ def test_normal_form_equals_the_division_remainder():
             if any(divisors):
                 gb = buchberger(divisors, field)
                 assert poly_normal_form(p, gb) == poly_divmod(p, gb.generators)[1]
+
+
+def _first_divisor_reduce(work, rows, p, steps=None):
+    """Reference for _reduce: the greatest term left is divided by the
+    first row in list order whose lead divides it (Monomial.divides), and
+    over the rationals the remainder is scaled along with work."""
+    work, rem, scale = dict(work), {}, 1
+    while work:
+        m = max(work)
+        a = work.pop(m)
+        row = next((r for r in rows if r[0].divides(m)), None)
+        if row is None:
+            rem[m] = a
+            continue
+        lm, lc, tail = row
+        g = math.gcd(a, lc)
+        if g != lc:
+            f = lc // g
+            work = {k: v * f for k, v in work.items()}
+            rem = {k: v * f for k, v in rem.items()}
+            scale *= f
+        a //= g
+        qm = m.div(lm)
+        if steps is not None:
+            steps.append((lm, qm, a * lc, scale))
+        for dm, dc in tail:
+            v = work.pop(dm * qm, 0) - a * dc
+            if p:
+                v %= p
+            if v:
+                work[dm * qm] = v
+    return sorted(rem.items(), reverse=True), scale
+
+
+# leads of which several divide the same terms, one of them twice, and
+# some on indices 3 and 4 that widen the index when appended
+_DIVISOR_LEADS = ["y1*z1", "y1^2*z1", "y1*z1", "y2*z1", "y1*y2*z1*z2", "y1*z2", "y2^2*z2",
+                  "y3*z1", "y1*z4", "y4*z3^2"]
+
+
+def test_reduce_takes_the_first_dividing_row_like_a_list_scan():
+    rng = random.Random(416)
+    shared = 0  # division steps where more than one row divides the term
+    for field in (QQ, F2, F3, F5):
+        p = field.characteristic
+        for _ in range(25):
+            leads = rng.sample(_DIVISOR_LEADS, rng.randint(3, len(_DIVISOR_LEADS)))
+            rows = [_poly_row(_with_lead(rng, field, lead)) for lead in leads]
+            work = _integral(_random_poly(rng, field, terms=6, max_index=4, max_degree=6))[0]
+            want_steps = []
+            want = _first_divisor_reduce(work, rows, p, want_steps)
+            got_steps = []
+            got = _reduce(dict(work), rows, p, got_steps)
+            assert got == want and got_steps == want_steps
+            assert all(type(m) is Monomial for m, _ in got[0])
+            shared += sum(sum(r[0].divides(lm * qm) for r in rows) > 1 for lm, qm, _, _ in want_steps)
+            # rows appended to an index whose candidate lists are filled
+            head = rng.randint(0, len(rows))
+            index = ideals._Leads(rows[:head])
+            _reduce(dict(work), index, p)
+            for row in rows[head:]:
+                index.append(row)
+            got_steps = []
+            assert _reduce(dict(work), index, p, got_steps) == want
+            assert got_steps == want_steps
+    assert shared >= 300
 
 
 def test_spolynomial_cancels_the_common_leading_monomial():
@@ -680,8 +747,26 @@ def _with_lead(rng, field, lead, terms=2):
     return p
 
 
-def test_gebauer_moeller_pruning_matches_the_pop_time_chain_criterion():
+def _module_row_polys(field, gens, side):
+    """The module generators of gens at variable range 2 as Polys: the
+    rows of each generator shifted by y1 and y2, or by z1 and z2, so that
+    they come in shifted copies."""
+    pres = TwoSidedPresentation(gens, field, side)
+    return [Poly(field, dict(((lm, lc),) + tail)) for lm, lc, tail in pres._module_rows(gens, 2)]
+
+
+def test_gebauer_moeller_pruning_matches_the_pop_time_chain_criterion(monkeypatch):
     rng = random.Random(411)
+    spair = ideals._spair
+
+    def no_shifted_copies(f, g, lcm, p):
+        # the S-polynomial of two shifted copies of one row is zero, so
+        # such a pair is never queued
+        assert ideals._shape(f) != ideals._shape(g)
+        return spair(f, g, lcm, p)
+
+    monkeypatch.setattr(ideals, "_spair", no_shifted_copies)
+    copies = 0
     for field in (QQ, F2, F3, F5):
         cases = []
         for leads in _CRITERION_LEADS:
@@ -690,6 +775,15 @@ def test_gebauer_moeller_pruning_matches_the_pop_time_chain_criterion():
                 cases.append((gens[:-1], gens[-1:]))
         for _ in range(12):
             cases.append(_random_ideal_pieces(rng, field))
+        for side in _SIDES:
+            for _ in range(3):
+                gens = [random_element(rng, field, max_index=2, max_degree=3, terms=2,
+                                       linear=side == "two") for _ in range(2)]
+                gens = [g for g in gens if not g.is_zero]
+                old, new = (_module_row_polys(field, part, side) for part in (gens[:1], gens[1:]))
+                shapes = [ideals._shape(_poly_row(p)) for p in old + new]
+                copies += len(shapes) - len(set(shapes))
+                cases.append((old, new))
         for old, new in cases:
             got = buchberger(old + new, field)
             want = _pop_time_chain_buchberger(old + new, field)
@@ -698,6 +792,7 @@ def test_gebauer_moeller_pruning_matches_the_pop_time_chain_criterion():
             got = buchberger(new, field, start=start)
             want = _pop_time_chain_buchberger(new, field, start=start)
             assert got == want and got._rows == want._rows
+    assert copies >= 100
 
 
 def _certificate(res):

@@ -1,15 +1,19 @@
 """Sparse polynomial arithmetic in the two-family monomial ring."""
 
+import copy
+import pickle
 import random
 
 from bicomm.monomials import Monomial, parse_monomial as pm
 from bicomm.orders import weight_key
-from bicomm.polynomials import Poly
+from bicomm.polynomials import Poly, _poly as trusted_poly
 from bicomm.scalars import Field
 
 SEED = 77
 
 QQ = Field.rationals()
+F2 = Field.prime(2)
+F3 = Field.prime(3)
 F5 = Field.prime(5)
 
 
@@ -114,3 +118,39 @@ def test_str_deterministic():
     p = _poly(QQ, ("y1*z1", 1), ("y1*z2", -2))
     assert str(p) == "-2*y1*z2 + y1*z1"
     assert str(Poly.zero(QQ)) == "0"
+
+
+def test_scalars_that_vanish_mod_p_give_zero():
+    p = _poly(F3, ("y1*z1", 1), ("y2*z1", 2))
+    assert p.scale(3).is_zero and p.scale(-6).is_zero
+    assert p.mul_monomial(pm("y1"), 3).is_zero
+    assert p.scale(4) == p and p.mul_monomial(pm("z2"), 7) == p.mul_monomial(pm("z2"))
+    assert p.scale(5).terms == {pm("y1*z1"): 2, pm("y2*z1"): 1}
+    q = _poly(F2, ("y1*z1", 1), ("y1*z2", 1))
+    assert q.scale(2).is_zero and q.mul_monomial(pm("y2"), -4).is_zero
+    assert q.scale(3) == q and str(q.mul_monomial(pm("y2"), 5)) == "y1*y2*z2 + y1*y2*z1"
+
+
+def test_hash_is_cached_and_equal_across_constructors():
+    rng = random.Random(SEED)
+    for field in (QQ, F3, F5):
+        for _ in range(20):
+            p = _random_poly(rng, field)
+            assert hash(p) == hash((field, frozenset(p.terms.items())))
+            assert hash(p) == hash(p)
+            trusted = trusted_poly(field, dict(p.terms))
+            assert trusted == p and hash(trusted) == hash(p)
+            scaled = p.scale(field.from_int(2)).scale(field.inv(field.from_int(2)))
+            assert scaled == p and hash(scaled) == hash(p)
+
+
+def test_copies_and_pickles_rebuild_without_the_cached_hash():
+    p = _poly(QQ, ("y1*z1", 3), ("y2*z1", -1))
+    h = hash(p)
+    # protocols 0 and 1 cannot pickle the slotted Field
+    for copied in [copy.copy(p), copy.deepcopy(p)] + [
+        pickle.loads(pickle.dumps(p, protocol)) for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)
+    ]:
+        assert type(copied) is Poly and copied == p and copied.terms is not p.terms
+        assert copied._hash is None and hash(copied) == h
+        assert copied.leading() == p.leading()
