@@ -492,11 +492,25 @@ def _reduce_basis(basis, p: int):
     # reduction, so one pass leaves every element reduced.  No term of a
     # row's tail is divisible by its own lead, so each tail is divided by
     # the list as it stands, itself included, with the same steps as by
-    # the other rows alone.
+    # the other rows alone.  Most tails are reduced already: a row is
+    # divided only when a lead divides one of its tail terms.
     leads = _Leads(kept)
+    low, guard, candidates = leads.low, leads.guard, leads.candidates
     for i, (lm, lc, tail) in enumerate(kept):
-        rem, scale = _reduce(dict(tail), leads, p)
-        kept[i] = _row([(lm, lc * scale)] + rem, p)
+        for (y, z), _ in tail:
+            key = ((y + low) & guard) | (((z + low) & guard) >> 1)
+            found = candidates.get(key)
+            if found is None:
+                found = leads.find(key)
+            for ly, lz, _ in found:
+                dy, dz = y - ly, z - lz
+                if dy >= 0 and dz >= 0 and not (dy & guard or dz & guard):
+                    break
+            else:
+                continue
+            rem, scale = _reduce(dict(tail), leads, p)
+            kept[i] = _row([(lm, lc * scale)] + rem, p)
+            break
     kept.sort(key=lambda g: g[0])
     return kept
 
