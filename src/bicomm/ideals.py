@@ -133,6 +133,21 @@ class _Leads:
         found = self.candidates[key] = [e for k, e in zip(self.keys, self.entries) if k & key == k]
         return found
 
+    def divides_any(self, terms) -> bool:
+        """Whether some lead divides a monomial of the (monomial, c) pairs
+        terms."""
+        low, guard, candidates = self.low, self.guard, self.candidates
+        for (y, z), _ in terms:
+            key = ((y + low) & guard) | (((z + low) & guard) >> 1)
+            found = candidates.get(key)
+            if found is None:
+                found = self.find(key)
+            for ly, lz, _ in found:
+                dy, dz = y - ly, z - lz
+                if dy >= 0 and dz >= 0 and not (dy & guard or dz & guard):
+                    return True
+        return False
+
 
 def _reduce(work: dict, rows, p: int, steps: list | None = None):
     """Fully reduce the integer polynomial work (consumed) by integer rows,
@@ -495,22 +510,10 @@ def _reduce_basis(basis, p: int):
     # the other rows alone.  Most tails are reduced already: a row is
     # divided only when a lead divides one of its tail terms.
     leads = _Leads(kept)
-    low, guard, candidates = leads.low, leads.guard, leads.candidates
     for i, (lm, lc, tail) in enumerate(kept):
-        for (y, z), _ in tail:
-            key = ((y + low) & guard) | (((z + low) & guard) >> 1)
-            found = candidates.get(key)
-            if found is None:
-                found = leads.find(key)
-            for ly, lz, _ in found:
-                dy, dz = y - ly, z - lz
-                if dy >= 0 and dz >= 0 and not (dy & guard or dz & guard):
-                    break
-            else:
-                continue
+        if leads.divides_any(tail):
             rem, scale = _reduce(dict(tail), leads, p)
             kept[i] = _row([(lm, lc * scale)] + rem, p)
-            break
     kept.sort(key=lambda g: g[0])
     return kept
 
