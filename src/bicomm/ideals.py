@@ -71,97 +71,16 @@ def _emit(field: Field, pairs, d: int) -> Poly:
     return _poly(field, {m: mul(c, inv) for m, c in pairs})
 
 
-class _Leads:
-    """A row list (see _row), rows, with an index over the packed leading
-    monomials, for finding the first row whose lead divides a term.
-
-    The key of a monomial (Y, Z) is its support as one int: the guard bit
-    of each nonzero field of Y, and that of Z moved one bit down.  A lead
-    divides a term only when the lead's key bits are among the term's, so
-    candidates maps a term key to the (Y, Z, position) of the rows whose
-    leads pass that test, in row order; the first of them whose lead
-    divides the term is the first such row of the list.  A list is built
-    when its key is first looked up (find), and rows appended later are
-    appended to the lists they belong to (append).
-
-    Keys and divisibility tests read only the fields below width, the
-    fields of the leads: a lead has no support above them, and a field
-    where a term lacks a lead's exponent is one of them.  So guard is the
-    guard mask of those fields, however wide the monomials elsewhere are.
-    """
-
-    __slots__ = ("rows", "keys", "entries", "width", "guard", "low", "candidates")
-
-    def __init__(self, rows: list):
-        self.rows = rows
-        bits = 0
-        for (y, z), _, _ in rows:
-            bits |= y | z
-        self._cover(bits.bit_length())
-        low, g = self.low, self.guard
-        self.entries = entries = [(y, z, i) for i, ((y, z), _, _) in enumerate(rows)]
-        self.keys = [((y + low) & g) | (((z + low) & g) >> 1) for y, z, _ in entries]
-        self.candidates = {}
-
-    def _cover(self, nbits: int) -> None:
-        """Widen the masks to the fields of an nbits-bit lead.  The keys of
-        the leads stay as they are, and so do the candidate lists: a term
-        key from the wider masks that equals a key from the narrower ones
-        belongs to a term without support in the added fields."""
-        width = monomials._WIDTH
-        self.width = -(-nbits // width) * width
-        g = self.guard = monomials._guard & ((1 << self.width) - 1)
-        self.low = g - (g >> (width - 1))
-
-    def append(self, row) -> None:
-        """Append row to rows and index its lead."""
-        self.rows.append(row)
-        y, z = row[0]
-        if y.bit_length() > self.width or z.bit_length() > self.width:
-            self._cover(max(y.bit_length(), z.bit_length()))
-        low, g = self.low, self.guard
-        key = ((y + low) & g) | (((z + low) & g) >> 1)
-        entry = (y, z, len(self.entries))
-        self.keys.append(key)
-        self.entries.append(entry)
-        for k, found in self.candidates.items():
-            if key & k == key:
-                found.append(entry)
-
-    def find(self, key: int) -> list:
-        """The candidates of the term key, built and kept on first use."""
-        found = self.candidates[key] = [e for k, e in zip(self.keys, self.entries) if k & key == k]
-        return found
-
-    def divides_any(self, terms) -> bool:
-        """Whether some lead divides a monomial of the (monomial, c) pairs
-        terms."""
-        low, guard, candidates = self.low, self.guard, self.candidates
-        for (y, z), _ in terms:
-            key = ((y + low) & guard) | (((z + low) & guard) >> 1)
-            found = candidates.get(key)
-            if found is None:
-                found = self.find(key)
-            for ly, lz, _ in found:
-                dy, dz = y - ly, z - lz
-                if dy >= 0 and dz >= 0 and not (dy & guard or dz & guard):
-                    return True
-        return False
-
-
 def _reduce(work: dict, rows, p: int, steps: list | None = None):
-    """Fully reduce the integer polynomial work (consumed) by integer rows,
-    a list or a _Leads over one.
+    """Fully reduce the integer polynomial work (consumed) by integer rows.
 
     Terms are taken greatest first from a heap, each divided by the first
     row whose lead divides it.  A popped monomial no longer in work (it
     cancelled, or an earlier entry for it was taken) is skipped; it cannot
     come back, since every term that enters after a pop is smaller.
 
-    The divisor is found through the index of _Leads, built here for a
-    plain list: only the rows listed under the term's support key are
-    tested, in row order, on the packed ints.
-    Quotient and tail products are packed sums, and a guard bit set in
+    The divisor scan, the quotient and the tail products run on the
+    packed ints of the monomials (see monomials), and a guard bit set in
     a product raises ValueError like a product of Monomials.
 
     Over F_p the rows are monic.  Over the rationals a step whose row
@@ -176,10 +95,7 @@ def _reduce(work: dict, rows, p: int, steps: list | None = None):
     subtracts (q * lc) / (scale * d) * qm times the monic row from f:
     these terms, collected per row, are f's cofactors.
     """
-    leads = rows if isinstance(rows, _Leads) else _Leads(rows)
-    rows = leads.rows
-    low, guard, candidates = leads.low, leads.guard, leads.candidates
-    limit = monomials._guard
+    guard = monomials._guard
     # work may hold plain (Y, Z) tuples, which hash and compare like the
     # Monomials they stand for; the remainder gets Monomials
     heap = [(-m[0], -m[1], m) for m in work]
@@ -193,20 +109,15 @@ def _reduce(work: dict, rows, p: int, steps: list | None = None):
         if a is None:
             continue
         y, z = -y, -z
-        key = ((y + low) & guard) | (((z + low) & guard) >> 1)
-        found = candidates.get(key)
-        if found is None:
-            found = leads.find(key)
-        for ly, lz, pos in found:
-            qy = y - ly
+        for lm, lc, tail in rows:
+            qy = y - lm[0]
             if qy >= 0 and not qy & guard:
-                qz = z - lz
+                qz = z - lm[1]
                 if qz >= 0 and not qz & guard:
                     break
         else:
             rem.append((m, a, scale))
             continue
-        lm, lc, tail = rows[pos]
         if lc != 1:
             g = gcd(a, lc)
             if g != lc:
@@ -220,7 +131,7 @@ def _reduce(work: dict, rows, p: int, steps: list | None = None):
         for (ty, tz), dc in tail:
             ty += qy
             tz += qz
-            if (ty | tz) & limit:
+            if (ty | tz) & guard:
                 raise ValueError(f"exponent of {_monomial(qy, qz)} times the tail of {lm} must stay below 2^31")
             key = (ty, tz)
             old = work.get(key)
@@ -372,9 +283,7 @@ def buchberger(gens, field: Field | None = None, start: GroebnerBasis | None = N
     The pair queue works on packed leading monomials (see monomials): an
     entry (Y, Z, i, j) is the pair i < j whose lcm packs to (Y, Z), so
     the heap order is the weight order of the lcms, and the criteria
-    test divisibility and take lcms on the packed ints.  The basis is
-    held with an index of its leading monomials (see _Leads), which
-    every reduction by it shares and which grows with it.  The rest runs
+    test divisibility and take lcms on the packed ints.  The rest runs
     on integer forms (see _row), fraction-free: over the rationals the
     coefficients stay coprime integers, and the result holds these rows;
     its generators are made monic only when read (see GroebnerBasis).
@@ -397,9 +306,9 @@ def buchberger(gens, field: Field | None = None, start: GroebnerBasis | None = N
 def _groebner(field: Field, rows, start: GroebnerBasis | None = None) -> GroebnerBasis:
     """buchberger on nonzero integer rows (see _row) of gens."""
     char = field.characteristic
-    basis = _Leads(list(start._rows) if start is not None else [])
-    shapes = [_shape(row) for row in basis.rows]
-    old = len(basis.rows)
+    basis = list(start._rows) if start is not None else []
+    shapes = [_shape(row) for row in basis]
+    old = len(basis)
     active = list(range(old))  # a reduced start: no lead divides another
     pairs = []
     seen = set()
@@ -415,38 +324,38 @@ def _groebner(field: Field, rows, start: GroebnerBasis | None = None) -> Groebne
         if q not in seen:
             seen.add(q)
             _install(q, basis, shapes, active, pairs)
-    if start is not None and len(basis.rows) == old:
-        return GroebnerBasis(field, basis.rows)
+    if start is not None and len(basis) == old:
+        return GroebnerBasis(field, basis)
 
     while pairs:
         y, z, i, j = heapq.heappop(pairs)
-        r, _ = _reduce(_spair(basis.rows[i], basis.rows[j], (y, z), char), basis, char)
+        r, _ = _reduce(_spair(basis[i], basis[j], (y, z), char), basis, char)
         if r:
             _install(_row(r, char), basis, shapes, active, pairs)
 
     return GroebnerBasis(field, _reduce_basis(basis, char))
 
 
-def _install(h, basis: _Leads, shapes: list, active: list, pairs: list) -> None:
+def _install(h, basis: list, shapes: list, active: list, pairs: list) -> None:
     """Append the row h to the basis as an active element, and update the
     pair heap and the active list by the criteria of buchberger."""
-    k = len(basis.rows)
-    basis.append(h)
-    shape = _shape(h)
-    shapes.append(shape)
+    # products, quotients and lcms of covered monomials stay covered, so
+    # the mask does not change while the basis grows
+    g = monomials._guard
     hy, hz = h[0]
-    # the guard bits of the leads' fields cover every lead and lcm here
-    g = basis.guard
     # lcm(lead i, lm(h)) per index: monomials._fieldmax inlined.  The guard
     # bit of a field of (a | g) - b is set where a >= b, and ge - (ge >> 31)
     # sets the 31 value bits of those fields.
-    entries = basis.entries
     lcms = []
-    for ly, lz, _ in entries[:k]:
+    for (ly, lz), _, _ in basis:
         ge = ((ly | g) - hy) & g
         y = hy ^ ((ly ^ hy) & (ge - (ge >> 31)))
         ge = ((lz | g) - hz) & g
         lcms.append((y, hz ^ ((lz ^ hz) & (ge - (ge >> 31)))))
+    k = len(basis)
+    basis.append(h)
+    shape = _shape(h)
+    shapes.append(shape)
     # criterion B
     kept = []
     for pair in pairs:
@@ -463,7 +372,7 @@ def _install(h, basis: _Leads, shapes: list, active: list, pairs: list) -> None:
     new = []
     still = []
     for i in active:
-        ly, lz, _ = entries[i]
+        ly, lz = basis[i][0]
         y, z = lcms[i]
         new.append((y, z, y != ly + hy or z != lz + hz, i))
         dy, dz = ly - hy, lz - hz
@@ -484,20 +393,14 @@ def _install(h, basis: _Leads, shapes: list, active: list, pairs: list) -> None:
                 heapq.heappush(pairs, (y, z, i, k))
 
 
-def _reduce_basis(basis, p: int):
-    """Minimalized, interreduced and sorted rows of a Groebner basis given
-    as a row list or a _Leads over one."""
-    leads = basis if isinstance(basis, _Leads) else _Leads(basis)
-    low, guard = leads.low, leads.guard
+def _reduce_basis(basis: list, p: int):
+    """Minimalized, interreduced and sorted rows of a Groebner basis."""
+    guard = monomials._guard
     kept = []
-    for i, row in enumerate(leads.rows):
+    for i, row in enumerate(basis):
         y, z = row[0]
-        key = ((y + low) & guard) | (((z + low) & guard) >> 1)
-        found = leads.candidates.get(key)
-        if found is None:
-            found = leads.find(key)
         # redundant: another lead divides it, or an earlier one equals it
-        for ly, lz, j in found:
+        for j, ((ly, lz), _, _) in enumerate(basis):
             dy, dz = y - ly, z - lz
             if dy >= 0 and dz >= 0 and not (dy & guard or dz & guard) and (dy or dz or j < i):
                 break
@@ -507,13 +410,10 @@ def _reduce_basis(basis, p: int):
     # reduction, so one pass leaves every element reduced.  No term of a
     # row's tail is divisible by its own lead, so each tail is divided by
     # the list as it stands, itself included, with the same steps as by
-    # the other rows alone.  Most tails are reduced already: a row is
-    # divided only when a lead divides one of its tail terms.
-    leads = _Leads(kept)
+    # the other rows alone.
     for i, (lm, lc, tail) in enumerate(kept):
-        if leads.divides_any(tail):
-            rem, scale = _reduce(dict(tail), leads, p)
-            kept[i] = _row([(lm, lc * scale)] + rem, p)
+        rem, scale = _reduce(dict(tail), kept, p)
+        kept[i] = _row([(lm, lc * scale)] + rem, p)
     kept.sort(key=lambda g: g[0])
     return kept
 

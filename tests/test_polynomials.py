@@ -136,10 +136,12 @@ def test_hash_is_cached_and_equal_across_constructors():
     for field in (QQ, F3, F5):
         for _ in range(20):
             p = _random_poly(rng, field)
+            assert p._hash is None
             assert hash(p) == hash((field, frozenset(p.terms.items())))
-            assert hash(p) == hash(p)
+            assert p._hash == hash(p)
             trusted = trusted_poly(field, dict(p.terms))
-            assert trusted == p and hash(trusted) == hash(p)
+            assert trusted._hash is None
+            assert trusted == p and hash(trusted) == hash(p) and trusted._hash == hash(p)
             scaled = p.scale(field.from_int(2)).scale(field.inv(field.from_int(2)))
             assert scaled == p and hash(scaled) == hash(p)
 
