@@ -50,6 +50,9 @@ class BicommElement:
         if not self.quad.is_mixed_only:
             raise BadElement("quadratic part contains a non-mixed monomial")
 
+    def __reduce__(self):
+        return BicommElement, (self.field, self.lin, self.quad)
+
     @classmethod
     def zero(cls, field: Field) -> "BicommElement":
         return cls(field)
@@ -93,12 +96,7 @@ class BicommElement:
     def add_scaled(self, coeff, other: "BicommElement") -> "BicommElement":
         self.field.check_same(other.field)
         lin = dict(self.lin)
-        for i, c in other.lin.items():
-            v = self.field.add(lin.get(i, self.field.zero), self.field.mul(coeff, c))
-            if v:
-                lin[i] = v
-            else:
-                lin.pop(i, None)
+        self.field.add_into(lin, other.lin.items(), coeff)
         return _element(self.field, lin, self.quad.add_scaled(coeff, other.quad))
 
     def __add__(self, other):
@@ -211,23 +209,20 @@ def normalize(poly: NAPolynomial) -> BicommElement:
     each tree is read off its leaves by the slot rule (module docstring)
     and the coefficients are summed into one dict per part."""
     field = poly.field
-    add, zero = field.add, field.zero
-    lin, quad = {}, {}
+    lin_terms, quad_terms = [], []
     for t, c in poly.terms.items():
         if isinstance(t, Leaf):
-            acc, key = lin, t.index
+            lin_terms.append((t.index, c))
         else:
             ys, zs, prev = [], [], None
             for s in _symbols(t):
                 if isinstance(s, Leaf):  # a left factor follows '(', a right one '*'
                     (ys if prev == "(" else zs).append((s.index, 1))
                 prev = s
-            acc, key = quad, Monomial(ys, zs)
-        v = add(acc.get(key, zero), c)
-        if v:
-            acc[key] = v
-        else:
-            del acc[key]
+            quad_terms.append((Monomial(ys, zs), c))
+    lin, quad = {}, {}
+    field.add_into(lin, lin_terms)
+    field.add_into(quad, quad_terms)
     return _element(field, lin, _poly(field, quad))
 
 

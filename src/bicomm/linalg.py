@@ -1,11 +1,13 @@
 """Exact row reduction over a Field, with dependency tracking.
 
-Vectors are sparse dicts mapping hashable keys to nonzero scalars.  A new
-row's pivot is its greatest key, under sort_key when one is given.  An
-Echelon keeps a fully interreduced monic row basis of the span of the
-vectors inserted so far.  Each row remembers a combination expressing it
-in terms of the inserted vectors (by caller-chosen labels), which gives
-dependency certificates and membership coefficients for free.
+Vectors are sparse dicts mapping hashable keys to nonzero scalars.  Every
+row operation accumulates through Field.add_into, which deletes the keys
+that cancel, so no zero is ever stored.  A new row's pivot is its greatest
+key, under sort_key when one is given.  An Echelon keeps a fully
+interreduced monic row basis of the span of the vectors inserted so far.
+Each row remembers a combination expressing it in terms of the inserted
+vectors (by caller-chosen labels), which gives dependency certificates and
+membership coefficients for free.
 """
 
 from __future__ import annotations
@@ -33,16 +35,6 @@ class Echelon:
     def pivots(self):
         return [p for p, _, _ in self.rows]
 
-    def _sub_scaled(self, vec: dict, coeff, other: dict) -> None:
-        f = self.field
-        sub, mul, zero = f.sub, f.mul, f.zero
-        for k, c in other.items():
-            v = sub(vec.get(k, zero), mul(coeff, c))
-            if v:
-                vec[k] = v
-            else:
-                vec.pop(k, None)
-
     def _reduce(self, vec: dict):
         """Eliminate all pivots from vec.
 
@@ -51,19 +43,15 @@ class Echelon:
         are kept fully interreduced.
         """
         f = self.field
+        add_into, neg = f.add_into, f.neg
         vec = {k: c for k, c in vec.items() if c}
         used = {}
         for pivot, row, combo in self.rows:
             c = vec.get(pivot)
             if not c:
                 continue
-            self._sub_scaled(vec, c, row)
-            for label, cc in combo.items():
-                v = f.add(used.get(label, f.zero), f.mul(c, cc))
-                if v:
-                    used[label] = v
-                else:
-                    used.pop(label, None)
+            add_into(vec, row.items(), neg(c))
+            add_into(used, combo.items(), c)
         return vec, used
 
     def insert(self, vec: dict, label=None):
@@ -81,26 +69,15 @@ class Echelon:
         inv = f.inv(lead)
         row = {k: f.mul(inv, c) for k, c in residual.items()}
         combo = {label: inv} if label is not None else {}
-        for l, c in used.items():
-            v = f.neg(f.mul(inv, c))
-            if l == label:
-                v = f.add(combo.get(label, f.zero), v)
-            if v:
-                combo[l] = v
-            else:
-                combo.pop(l, None)
+        f.add_into(combo, used.items(), f.neg(inv))
         # keep earlier rows clear of the new pivot
         for p_old, row_old, combo_old in self.rows:
             c = row_old.get(pivot)
             if not c:
                 continue
-            self._sub_scaled(row_old, c, row)
-            for l, cc in combo.items():
-                v = f.sub(combo_old.get(l, f.zero), f.mul(c, cc))
-                if v:
-                    combo_old[l] = v
-                else:
-                    combo_old.pop(l, None)
+            c = f.neg(c)
+            f.add_into(row_old, row.items(), c)
+            f.add_into(combo_old, combo.items(), c)
         self.rows.append((pivot, row, combo))
         return None
 

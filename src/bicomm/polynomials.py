@@ -10,7 +10,8 @@ from .scalars import Field
 class Poly:
     """A polynomial in K[Y, Z], stored as a dict Monomial -> coefficient.
 
-    Zero coefficients are never stored.  Instances are treated as
+    Zero coefficients are never stored: the constructor drops them, and
+    every sum accumulates through Field.add_into.  Instances are treated as
     immutable by convention: all operations return new polynomials, and
     the leading term and the hash are cached on first use.  Copies and
     pickles rebuild through the constructor, so no cached hash travels to
@@ -69,13 +70,7 @@ class Poly:
     def add(self, other: "Poly") -> "Poly":
         self.field.check_same(other.field)
         acc = dict(self.terms)
-        add = self.field.add
-        for m, c in other.terms.items():
-            v = add(acc.get(m, self.field.zero), c)
-            if v:
-                acc[m] = v
-            else:
-                acc.pop(m, None)
+        self.field.add_into(acc, other.terms.items())
         return _poly(self.field, acc)
 
     def add_scaled(self, coeff, other: "Poly") -> "Poly":
@@ -83,13 +78,7 @@ class Poly:
         if not coeff:
             return self
         acc = dict(self.terms)
-        add, mul = self.field.add, self.field.mul
-        for m, c in other.terms.items():
-            v = add(acc.get(m, self.field.zero), mul(coeff, c))
-            if v:
-                acc[m] = v
-            else:
-                acc.pop(m, None)
+        self.field.add_into(acc, other.terms.items(), coeff)
         return _poly(self.field, acc)
 
     def scale(self, coeff) -> "Poly":
@@ -125,14 +114,7 @@ class Poly:
     def _relabeled(self, phi: dict) -> "Poly":
         """apply_index_map for a phi already checked on these indices."""
         acc = {}
-        add, zero = self.field.add, self.field.zero
-        for m, c in self.terms.items():
-            mm = m._relabeled(phi)
-            v = add(acc.get(mm, zero), c)
-            if v:
-                acc[mm] = v
-            else:
-                acc.pop(mm, None)
+        self.field.add_into(acc, ((m._relabeled(phi), c) for m, c in self.terms.items()))
         return _poly(self.field, acc)
 
     def coefficient(self, m: Monomial):
@@ -176,16 +158,11 @@ def _poly(field: Field, terms: dict) -> Poly:
 
 def add_products(field: Field, acc: dict, left, right) -> None:
     """Add the product of two sums given as (monomial, coefficient) pairs
-    into the dict acc, dropping the terms that cancel."""
-    add, mul, zero = field.add, field.mul, field.zero
+    into the dict acc, dropping the terms that cancel.  right is iterated
+    once per left term."""
+    add_into = field.add_into
     for m1, c1 in left:
-        for m2, c2 in right:
-            m = m1 * m2
-            v = add(acc.get(m, zero), mul(c1, c2))
-            if v:
-                acc[m] = v
-            else:
-                acc.pop(m, None)
+        add_into(acc, ((m1 * m2, c2) for m2, c2 in right), c1)
 
 
 def format_terms(field: Field, pairs) -> str:

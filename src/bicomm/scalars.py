@@ -94,6 +94,27 @@ class Field:
             return self.div(a.numerator % p, a.denominator % p)
         return a % p if p else a
 
+    def add_into(self, acc: dict, pairs, coeff=1) -> None:
+        """Add coeff * c into acc[key] for each (key, c) of pairs, and
+        delete every key whose sum cancels.  This is the one place where a
+        sparse dict of field scalars accumulates, so no zero coefficient is
+        ever stored.  The sums equal those of field.add and field.mul, with
+        the same int/Fraction types over Q."""
+        get, pop = acc.get, acc.pop
+        p = self.characteristic
+        if p:
+            for key, c in pairs:
+                if v := (get(key, 0) + coeff * c) % p:
+                    acc[key] = v
+                else:
+                    pop(key, None)
+        else:
+            for key, c in pairs:
+                if v := get(key, 0) + coeff * c:
+                    acc[key] = v
+                else:
+                    pop(key, None)
+
     def add(self, a, b):
         p = self.characteristic
         return (a + b) % p if p else a + b
@@ -151,6 +172,9 @@ class Field:
 
     def __hash__(self):
         return hash(("Field", self.characteristic))
+
+    def __reduce__(self):
+        return Field, (self.characteristic,)
 
     def __repr__(self):
         return "Field(q)" if self.is_rationals else f"Field(fp:{self.characteristic})"

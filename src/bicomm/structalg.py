@@ -28,10 +28,15 @@ from .scalars import Field
 from .terms import Leaf, NAPolynomial, Node, term_leaves
 
 
-def _json_int(raw) -> int:
-    """An integer from a JSON integer or string; a float, a boolean or any
+def _is_json_int(raw) -> bool:
+    """Whether raw is an integer or a string; a float, a boolean or any
     other value is refused, since int() would truncate or coerce it."""
-    if isinstance(raw, str) or isinstance(raw, int) and not isinstance(raw, bool):
+    return isinstance(raw, str) or isinstance(raw, int) and not isinstance(raw, bool)
+
+
+def _json_int(raw) -> int:
+    """An integer from a JSON integer or string."""
+    if _is_json_int(raw):
         return int(raw)
     raise BadAlgebra(f"expected an integer in the algebra JSON, got {raw!r}")
 
@@ -68,12 +73,22 @@ class StructureAlgebra:
         return {i: self.field.one}
 
     def check_element(self, v: dict) -> dict:
+        """v with int indices and each coordinate stored through
+        Field.canonical, zeros dropped.  An index must be an int or a
+        string of digits, and a coordinate an int or a Fraction; anything
+        else raises BadElement."""
         out = {}
         for i, c in v.items():
-            if not 0 <= int(i) < self.dim:
+            try:
+                index = int(i) if _is_json_int(i) else None
+            except ValueError:
+                index = None
+            if index is None:
+                raise BadElement(f"coordinate index {i!r} is not an integer")
+            if not 0 <= index < self.dim:
                 raise BadElement(f"coordinate index {i} out of range")
-            if c:
-                out[int(i)] = c
+            if c := self.field.canonical(c):
+                out[index] = c
         return out
 
     def product(self, u: dict, v: dict) -> dict:

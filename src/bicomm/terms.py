@@ -109,17 +109,18 @@ def _product(field: Field, a: dict, b: dict) -> dict:
 
 
 class NAPolynomial:
-    """Formal linear combination of terms; zero coefficients are dropped."""
+    """Formal linear combination of terms.
+
+    Zero coefficients are never stored: the constructor stores each
+    coefficient through Field.canonical and drops the zeros, and sums
+    accumulate through Field.add_into.
+    """
 
     __slots__ = ("field", "terms")
 
     def __init__(self, field: Field, terms=None):
         self.field = field
-        self.terms = {}
-        if terms:
-            for t, c in dict(terms).items():
-                if c:
-                    self.terms[t] = c
+        self.terms = {t: v for t, c in dict(terms or ()).items() if (v := field.canonical(c))}
 
     @classmethod
     def zero(cls, field: Field) -> "NAPolynomial":
@@ -137,12 +138,7 @@ class NAPolynomial:
     def add_scaled(self, coeff, other: "NAPolynomial") -> "NAPolynomial":
         self.field.check_same(other.field)
         acc = dict(self.terms)
-        for t, c in other.terms.items():
-            v = self.field.add(acc.get(t, self.field.zero), self.field.mul(coeff, c))
-            if v:
-                acc[t] = v
-            else:
-                acc.pop(t, None)
+        self.field.add_into(acc, other.terms.items(), coeff)
         return NAPolynomial(self.field, acc)
 
     def add(self, other: "NAPolynomial") -> "NAPolynomial":
@@ -240,7 +236,6 @@ class _Parser:
         dict, so a long sum parses in linear time.
         """
         field = self.field
-        add, mul, zero = field.add, field.mul, field.zero
         stack = []
         result, coeff, first = {}, self.parse_coeff(), None
         while True:
@@ -272,14 +267,8 @@ class _Parser:
                         self.fail(
                             "product of three or more factors needs parentheses", AmbiguousProduct
                         )
-                for t, c in value.items():
-                    w = mul(coeff, c)
-                    if w:
-                        v = add(result.get(t, zero), w)
-                        if v:
-                            result[t] = v
-                        else:
-                            del result[t]
+                if coeff:
+                    field.add_into(result, value.items(), coeff)
                 if self.peek() in ("+", "-"):
                     coeff, first = self.parse_coeff(), None
                     break

@@ -37,7 +37,7 @@ from .errors import (
 from .linalg import Echelon
 from .monomials import ONE, Monomial
 from .orders import higman_embedding, higman_leq, minimal_antichain, weight_of
-from .polynomials import Poly, _poly
+from .polynomials import Poly, _poly, add_products
 from .scalars import Field
 
 
@@ -184,7 +184,6 @@ def _truncated_mul(field: Field, left: dict, right: dict, bound: tuple, out=None
     """
     if out is None:
         out = {}
-    add, mul, zero = field.add, field.mul, field.zero
     for d1, block1 in left.items():
         for d2, block2 in right.items():
             d = tuple(map(operator.add, d1, d2))
@@ -194,15 +193,7 @@ def _truncated_mul(field: Field, left: dict, right: dict, bound: tuple, out=None
             for k1, p1 in block1.items():
                 for k2, p2 in block2.items():
                     key = tuple(sorted(k1 + k2))
-                    terms = block.setdefault(key, {})
-                    for m1, c1 in p1.items():
-                        for m2, c2 in p2.items():
-                            m = m1 * m2
-                            v = add(terms.get(m, zero), mul(c1, c2))
-                            if v:
-                                terms[m] = v
-                            else:
-                                terms.pop(m, None)
+                    add_products(field, block.setdefault(key, {}), p1.items(), p2.items())
     return out
 
 

@@ -332,6 +332,26 @@ def test_public_constructors_reject_coefficients_that_are_no_scalars():
     assert BicommElement(F3, {1: 3}).is_zero
 
 
+def test_formal_sums_store_canonical_coefficients():
+    """NAPolynomial stores each coefficient through Field.canonical: a
+    multiple of p is zero and normalizes to zero, and a value that is no
+    scalar is refused instead of reaching exact arithmetic."""
+    t = Node(Leaf(1), Leaf(2))
+    for terms in ({Leaf(1): 3}, {Leaf(1): 3, t: 6}):
+        f = NAPolynomial(F3, terms)
+        assert f.is_zero and f.terms == {}
+        assert normalize(f).is_zero
+    f = NAPolynomial(F3, {Leaf(1): 4, t: -1})
+    assert f.terms == {Leaf(1): 1, t: 2}
+    assert normalize(f) == element(F3, lin={1: 1}, quad=[("y1*z2", 2)])
+    for field in (QQ, F3):
+        for bad in (0.5, 1.0, True, False):
+            with pytest.raises(BadElement):
+                NAPolynomial(field, {Leaf(1): bad})
+            with pytest.raises(BadElement):
+                NAPolynomial.term(field, t, bad)
+
+
 def test_mixed_only_invariant_enforced():
     with pytest.raises(BadElement):
         BicommElement.from_quad(Poly(QQ, {pm("y1"): QQ.one}))

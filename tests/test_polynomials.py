@@ -4,6 +4,7 @@ import copy
 import pickle
 import random
 
+from bicomm.algebra import BicommElement
 from bicomm.monomials import Monomial, parse_monomial as pm
 from bicomm.orders import weight_key
 from bicomm.polynomials import Poly, _poly as trusted_poly
@@ -146,13 +147,28 @@ def test_hash_is_cached_and_equal_across_constructors():
             assert scaled == p and hash(scaled) == hash(p)
 
 
+def _copies(x):
+    return [copy.copy(x), copy.deepcopy(x)] + [
+        pickle.loads(pickle.dumps(x, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+    ]
+
+
 def test_copies_and_pickles_rebuild_without_the_cached_hash():
     p = _poly(QQ, ("y1*z1", 3), ("y2*z1", -1))
     h = hash(p)
-    # protocols 0 and 1 cannot pickle the slotted Field
-    for copied in [copy.copy(p), copy.deepcopy(p)] + [
-        pickle.loads(pickle.dumps(p, protocol)) for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)
-    ]:
+    for copied in _copies(p):
         assert type(copied) is Poly and copied == p and copied.terms is not p.terms
         assert copied._hash is None and hash(copied) == h
         assert copied.leading() == p.leading()
+    for field in (QQ, F3):
+        for copied in _copies(field):
+            assert type(copied) is Field and copied == field
+            assert hash(copied) == hash(field)
+    m = pm("y1^2*y3*z2")
+    for copied in _copies(m):
+        assert type(copied) is Monomial and copied == m and hash(copied) == hash(m)
+        assert weight_key(copied) == weight_key(m)
+    e = BicommElement(F3, {1: 2, 4: 1}, Poly(F3, {m: 2}))
+    for copied in _copies(e):
+        assert type(copied) is BicommElement and copied == e and hash(copied) == hash(e)
+        assert str(copied) == str(e) and copied.lin is not e.lin

@@ -145,3 +145,53 @@ def test_rational_ops_match_fraction_arithmetic(a, b, num, den):
         assert got == want and str(got) == str(want)
         if stays_int:
             assert type(got) is int
+
+
+def _add_into_reference(field, acc, pairs, coeff):
+    """The per-term loop that Field.add_into replaces."""
+    for key, c in pairs:
+        v = field.add(acc.get(key, field.zero), field.mul(coeff, c))
+        if v:
+            acc[key] = v
+        else:
+            acc.pop(key, None)
+
+
+def test_add_into_matches_the_per_term_loop():
+    """Same sums as Field.add and Field.mul, every cancelled key deleted, and
+    over Q the same int/Fraction type for every stored value."""
+    rng = random.Random(SEED)
+    fields = [Field.rationals(), Field.prime(2), Field.prime(3), Field.prime(5)]
+    for field in fields:
+        p = field.characteristic
+
+        def scalar():
+            if p:
+                return rng.randrange(p)
+            if rng.random() < 0.4:
+                return Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3]))
+            return rng.randint(-4, 4)
+
+        for trial in range(400):
+            keys = range(rng.randint(1, 6))
+            acc = {k: v for k in keys if rng.random() < 0.6 and (v := scalar())}
+            # repeated keys, and a value that cancels what acc holds
+            pairs = [(rng.choice(keys), scalar()) for _ in range(rng.randint(0, 8))]
+            coeff = rng.choice([0, 1, field.neg(1), scalar()])
+            if acc and trial % 4 == 0:
+                key = rng.choice(list(acc))
+                coeff = coeff or 1
+                pairs.append((key, field.neg(field.div(acc[key], coeff))))
+            if trial % 7 == 0:  # full cancellation
+                coeff, pairs = 1, [(k, field.neg(v)) for k, v in acc.items()]
+            want = dict(acc)
+            _add_into_reference(field, want, pairs, coeff)
+            if coeff == 1 and trial % 2:
+                field.add_into(acc, iter(pairs))
+            else:
+                field.add_into(acc, iter(pairs), coeff)
+            assert acc == want and list(acc) == list(want)
+            assert all(acc.values())
+            assert [type(v) for v in acc.values()] == [type(v) for v in want.values()]
+            if trial % 7 == 0:
+                assert acc == {}

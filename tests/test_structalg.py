@@ -82,6 +82,28 @@ def test_structure_algebra_validation():
     assert alg.product({0: QQ.one}, {1: QQ.one}) == {}
 
 
+def test_elements_store_canonical_coordinates_at_integer_indices():
+    """check_element reads an index only as an int or a digit string, and
+    stores each coordinate through Field.canonical; a float or a boolean
+    raises BadElement instead of being truncated or carried into the
+    arithmetic."""
+    w3 = witt_truncated(3, QQ)
+    x1x2 = NAPolynomial.term(QQ, Node(Leaf(1), Leaf(2)))
+    assert evaluate_polynomial(x1x2, [{1: 1}, {1: 1}], w3) == {1: 1}
+    assert evaluate_polynomial(x1x2, [{"1": 1}, {1: Fraction(1, 2)}], w3) == {1: Fraction(1, 2)}
+    with pytest.raises(BadElement):
+        evaluate_polynomial(x1x2, [{1: 0.5}, {1: 1}], w3)
+    for bad in (1.9, 1.0, True, "x1", None, (1,)):
+        with pytest.raises(BadElement):
+            w3.check_element({bad: QQ.one})
+    for bad in (0.5, 1.0, True, "1", None):
+        with pytest.raises(BadElement):
+            w3.check_element({1: bad})
+    f3 = witt_truncated(3, F3)
+    assert f3.check_element({0: 3, 1: 4, "2": -1}) == {1: 1, 2: 2}
+    assert f3.check_element({0: Fraction(1, 2)}) == {0: 2}
+
+
 def test_product_is_bilinear():
     rng = random.Random(601)
     for field in (QQ, F5):
