@@ -666,10 +666,6 @@ def two_sided_member(f: BicommElement, pres) -> MembershipResult:
     Solve the linear parts exactly, then test the adjusted quadratic part
     against the module ideal plus the span of the kernel polynomials.
     """
-    if not isinstance(pres, TwoSidedPresentation):
-        pres = list(pres)
-        if not pres:
-            return MembershipResult(f.is_zero, {}, {}, [])
     return _member_of(f, pres, "two")
 
 

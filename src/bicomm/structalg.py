@@ -34,6 +34,17 @@ def _is_json_int(raw) -> bool:
     return isinstance(raw, str) or isinstance(raw, int) and not isinstance(raw, bool)
 
 
+def _index(raw, what: str) -> int:
+    """An index from an int that is no bool or a string int() reads;
+    anything else raises BadElement."""
+    try:
+        if _is_json_int(raw):
+            return int(raw)
+    except ValueError:
+        pass
+    raise BadElement(f"{what} {raw!r} is not an integer")
+
+
 def _json_int(raw) -> int:
     """An integer from a JSON integer or string."""
     if _is_json_int(raw):
@@ -79,12 +90,7 @@ class StructureAlgebra:
         else raises BadElement."""
         out = {}
         for i, c in v.items():
-            try:
-                index = int(i) if _is_json_int(i) else None
-            except ValueError:
-                index = None
-            if index is None:
-                raise BadElement(f"coordinate index {i!r} is not an integer")
+            index = _index(i, "coordinate index")
             if not 0 <= index < self.dim:
                 raise BadElement(f"coordinate index {i} out of range")
             if c := self.field.canonical(c):
@@ -263,11 +269,17 @@ def evaluate_polynomial(f: NAPolynomial, args, alg: StructureAlgebra) -> dict:
     """Value of f at the given elements, as a sparse coordinate dict.
 
     args may be a sequence (position r supplies x_{r+1}) or a dict
-    mapping variable indices to elements.
+    mapping variable indices to elements.  A dict key follows the index
+    rule of check_element and must be at least 1; any other key raises
+    BadElement.
     """
     alg.field.check_same(f.field)
     if isinstance(args, dict):
-        supplied = {int(k): alg.check_element(v) for k, v in args.items()}
+        supplied = {}
+        for k, v in args.items():
+            if (index := _index(k, "variable index")) < 1:
+                raise BadElement(f"variable index {k!r} is below 1")
+            supplied[index] = alg.check_element(v)
     else:
         supplied = {r + 1: alg.check_element(v) for r, v in enumerate(args)}
     return _eval_poly(f.sorted_terms(), supplied, alg, _scalar_ops(alg.field))

@@ -29,13 +29,14 @@ from itertools import combinations, product
 
 from .algebra import BicommElement
 from .errors import (
+    BadElement,
     NotDominated,
     UnsupportedGenerator,
     WindowTooSmall,
     WrongCharacteristic,
 )
 from .linalg import Echelon
-from .monomials import ONE, Monomial
+from .monomials import ONE, Monomial, y_variable, z_variable
 from .orders import higman_embedding, higman_leq, minimal_antichain, weight_of
 from .polynomials import Poly, _poly, add_products
 from .scalars import Field
@@ -44,9 +45,10 @@ from .scalars import Field
 class Substitution:
     """Assignment of algebra elements to generator indices.
 
-    Unmapped indices default to the generator itself; every stored image
-    must be nonzero, since a substitution is an algebra endomorphism
-    determined by nonzero generator images.
+    Unmapped indices default to the generator itself.  A key must be an
+    int >= 1 (not a bool) and an image a nonzero BicommElement, since a
+    substitution is an algebra endomorphism determined by nonzero
+    generator images.
     """
 
     __slots__ = ("images",)
@@ -55,9 +57,13 @@ class Substitution:
         self.images = {}
         if images:
             for i, v in dict(images).items():
+                if not isinstance(i, int) or isinstance(i, bool) or i < 1:
+                    raise BadElement(f"substitution index {i!r} is not an integer >= 1")
+                if not isinstance(v, BicommElement):
+                    raise BadElement(f"substitution image for x{i} is not an element: {v!r}")
                 if v.is_zero:
                     raise ValueError(f"substitution image for x{i} is zero")
-                self.images[int(i)] = v
+                self.images[i] = v
 
     def image(self, i: int, field: Field) -> BicommElement:
         got = self.images.get(i)
@@ -65,13 +71,6 @@ class Substitution:
             field.check_same(got.field)
             return got
         return BicommElement.generator(field, i)
-
-
-def _poly_pow(p: Poly, e: int) -> Poly:
-    out = _poly(p.field, {ONE: p.field.one})
-    for _ in range(e):
-        out = out.mul(p)
-    return out
 
 
 def apply_substitution(f: BicommElement, sigma: Substitution) -> BicommElement:
@@ -83,28 +82,18 @@ def apply_substitution(f: BicommElement, sigma: Substitution) -> BicommElement:
     """
     field = f.field
     out = BicommElement.zero(field)
-    t_cache = {}
-    s_cache = {}
-
-    def t_of(i):
-        if i not in t_cache:
-            t_cache[i] = sigma.image(i, field).t_poly()
-        return t_cache[i]
-
-    def s_of(i):
-        if i not in s_cache:
-            s_cache[i] = sigma.image(i, field).s_poly()
-        return s_cache[i]
-
     for i, c in f.lin.items():
         out = out.add_scaled(c, sigma.image(i, field))
+    images = {i: sigma.image(i, field) for m in f.quad.terms for i in m.indices()}
+    t_of = {i: g.t_poly() for i, g in images.items()}
+    s_of = {i: g.s_poly() for i, g in images.items()}
     quad = Poly.zero(field)
     for m, c in f.quad.terms.items():
         prod = _poly(field, {ONE: field.one})
-        for i, e in m.ys:
-            prod = prod.mul(_poly_pow(t_of(i), e))
-        for j, e in m.zs:
-            prod = prod.mul(_poly_pow(s_of(j), e))
+        for polys, pairs in ((t_of, m.ys), (s_of, m.zs)):
+            for i, e in pairs:
+                for _ in range(e):
+                    prod = prod.mul(polys[i])
         quad = quad.add_scaled(c, prod)
     return out + BicommElement.from_quad(quad)
 
@@ -121,20 +110,17 @@ class ClosureWindow:
             raise ValueError("window bounds must be positive")
 
 
-def _multidegree_key(mu: dict) -> tuple:
-    return tuple(sorted((v, d) for v, d in mu.items() if d))
+def _multidegrees(bound: tuple, max_total: int) -> list:
+    """Degree tuples over the variables 1..len(bound), each entry at most
+    its bound and the total at most max_total, in lexicographic order;
+    the first is all zeros."""
+    return [d for d in product(*(range(b + 1) for b in bound)) if sum(d) <= max_total]
 
 
-def _iter_multidegrees(nvars: int, max_total: int):
-    """All sparse multidegree dicts over variables 1..nvars, total >= 1."""
-    for degrees in product(range(max_total + 1), repeat=nvars):
-        if 1 <= sum(degrees) <= max_total:
-            yield {v: d for v, d in enumerate(degrees, 1) if d}
-
-
-def _iter_splits(r: dict, mixed_only: bool = False):
-    """All monomials Y^a Z^b with a + b equal to the multidegree r."""
-    items = sorted(r.items())
+def _iter_splits(degrees: tuple, mixed_only: bool = False):
+    """All monomials Y^a Z^b with a + b equal to degrees, a tuple over the
+    variables 1..len(degrees)."""
+    items = [(v, d) for v, d in enumerate(degrees, 1) if d]
 
     def rec(pos, ys, zs):
         if pos == len(items):
@@ -151,24 +137,21 @@ def _iter_splits(r: dict, mixed_only: bool = False):
     yield from rec(0, [], [])
 
 
-def _basis_monomial_options(budget: dict):
-    """Basis monomials of the free algebra with multidegree below budget.
+def _basis_monomial_options(bound: tuple) -> list:
+    """Basis monomials of the free algebra with multidegree at most bound.
 
-    Returns (multidegree dict, t-image, s-image) triples: the generator
-    x_i maps to (y_i, z_i), a mixed monomial to (itself, itself).
+    Returns (multidegree, t-image, s-image) triples, the multidegree a
+    tuple over the variables 1..len(bound) like bound: the generator x_v
+    maps to (y_v, z_v), a mixed monomial to (itself, itself).  Mixed
+    monomials come in ascending total degree.
     """
     out = []
-    for v in sorted(budget):
-        if budget[v] >= 1:
-            out.append(({v: 1}, Monomial([(v, 1)], []), Monomial([], [(v, 1)])))
-    for total in range(2, sum(budget.values()) + 1):
-        for mu in _iter_multidegrees(max(budget), total):
-            if sum(mu.values()) != total:
-                continue
-            if any(mu.get(v, 0) > budget.get(v, 0) for v in mu):
-                continue
-            for m in _iter_splits(mu, mixed_only=True):
-                out.append((mu.copy(), m, m))
+    for v, b in enumerate(bound, 1):
+        if b:
+            unit = tuple(int(u == v) for u in range(1, len(bound) + 1))
+            out.append((unit, y_variable(v), z_variable(v)))
+    for degrees in sorted(_multidegrees(bound, sum(bound)), key=sum):
+        out += [(degrees, m, m) for m in _iter_splits(degrees, mixed_only=True)]
     return out
 
 
@@ -223,48 +206,31 @@ class _BoundedClosure:
                 if part.lin:
                     self.any_linear = True
                 else:
-                    self.components.append((dict(key), part.quad))
+                    self.components.append((key, part.quad))
         self._echelons = {}
 
-    def bucket(self, mu: dict):
-        """Row-reduced span of the closure at multidegree mu, weight-descending.
+    def _echelon(self, key: tuple) -> Echelon:
+        """Row-reduced span of the closure at the sparse multidegree key.
 
-        With a linear generator this is every mixed monomial of mu.
-        Otherwise each multihomogeneous generator part is expanded under
+        Each multihomogeneous generator part is expanded under
         x_v -> sum_k c_{v,k} b_k, the b_k running over the basis monomials
-        below mu, and the expansion is truncated to multidegrees within mu.
-        The coefficient of each c-monomial, times every monomial that fills
-        its multidegree up to mu, is a row.
+        below the multidegree, and the expansion is truncated to
+        multidegrees within it.  The coefficient of each c-monomial, times
+        every monomial that fills its multidegree up to the bucket's, is a
+        row.
         """
-        field = self.field
-        if field is None:
-            return []
-        if self.any_linear:
-            monos = sorted(_iter_splits(dict(mu), mixed_only=True))
-            return [_poly(field, {m: field.one}) for m in reversed(monos)]
-        rows = self._echelon(mu).rows
-        ordered = sorted(rows, key=lambda r: r[0], reverse=True)
-        return [_poly(field, dict(vec)) for _, vec, _ in ordered]
-
-    def _echelon(self, mu: dict) -> Echelon:
-        key = _multidegree_key(mu)
         ech = self._echelons.get(key)
         if ech is not None:
             return ech
-        mu = dict(key)
         ech = Echelon(self.field)
-        variables = range(1, max(mu) + 1)
-        bound = tuple(mu.get(v, 0) for v in variables)
-        options = [
-            (tuple(md.get(v, 0) for v in variables), t_img, s_img)
-            for md, t_img, s_img in _basis_monomial_options(mu)
-        ]
+        degrees = dict(key)
+        bound = tuple(degrees.get(v, 0) for v in range(1, key[-1][0] + 1))
+        options = _basis_monomial_options(bound)
         for delta, quad in self.components:
-            if sum(delta.values()) > sum(bound):
+            if sum(d for _, d in delta) > sum(bound):
                 continue
             for used, block in self._expansion(delta, quad, options, bound).items():
-                left = {v: m - u for v, m, u in zip(variables, bound, used) if m > u}
-                mults = list(_iter_splits(left))
+                mults = list(_iter_splits(tuple(map(operator.sub, bound, used))))
                 for elem in filter(None, block.values()):
                     for mult in mults:
                         ech.insert({m * mult: c for m, c in elem.items()})
@@ -300,7 +266,7 @@ class _BoundedClosure:
                 got = powers[(v, a, b)] = _truncated_mul(field, prev, linear, bound)
             return got
 
-        variables = sorted(delta)
+        variables = [v for v, _ in delta]
         out = {}
         for w, cw in quad.terms.items():
             ys, zs = dict(w.ys), dict(w.zs)
@@ -317,7 +283,7 @@ class _BoundedClosure:
         if self.field is None:
             return False
         for key, part in sorted(f.split_multihomogeneous().items()):
-            if part.lin or not self._echelon(dict(key)).contains(dict(part.quad.terms)):
+            if part.lin or not self._echelon(key).contains(part.quad.terms):
                 return False
         return True
 
@@ -333,7 +299,7 @@ class TIdealSpan:
         self.buckets = buckets
 
     def component(self, mu) -> list:
-        key = _multidegree_key(dict(mu))
+        key = tuple(sorted((v, d) for v, d in dict(mu).items() if d))
         return self.buckets.get(key, [])
 
     def dimensions(self) -> dict:
@@ -341,21 +307,29 @@ class TIdealSpan:
 
 
 def t_ideal_closure_bounded(gens, window: ClosureWindow) -> TIdealSpan:
-    """Spans of the bounded substitution closure, bucket by multidegree."""
+    """Spans of the bounded substitution closure, bucket by multidegree.
+
+    Each bucket is row-reduced and weight-descending.  With a linear
+    generator the closure holds everything: x_v at degree one and every
+    mixed monomial above.  Otherwise a bucket holds the rows of its
+    echelon, which are none at degree one.
+    """
     closure = _BoundedClosure(gens, window)
-    buckets = {}
     field = closure.field
-    for mu in _iter_multidegrees(window.max_variables, window.max_degree):
-        key = _multidegree_key(mu)
-        if sum(mu.values()) == 1:
-            if closure.any_linear:
-                (v,) = mu
-                buckets[key] = [BicommElement.generator(field, v)]
-            else:
-                buckets[key] = []
+    top = window.max_degree
+    buckets = {}
+    for degrees in _multidegrees((top,) * window.max_variables, top)[1:]:
+        key = tuple((v, d) for v, d in enumerate(degrees, 1) if d)
+        if not closure.any_linear:
+            rows = sorted(closure._echelon(key).rows, key=lambda r: r[0], reverse=True)
+            polys = [dict(vec) for _, vec, _ in rows]
+        elif sum(degrees) > 1:
+            monos = sorted(_iter_splits(degrees, mixed_only=True), reverse=True)
+            polys = [{m: field.one} for m in monos]
+        else:
+            buckets[key] = [BicommElement.generator(field, key[0][0])]
             continue
-        rows = closure.bucket(mu)
-        buckets[key] = [BicommElement.from_quad(p) for p in rows]
+        buckets[key] = [BicommElement.from_quad(_poly(field, p)) for p in polys]
     return TIdealSpan(window, field, buckets)
 
 
@@ -452,16 +426,6 @@ def specht_reduce(g: BicommElement, basis, trace=None) -> BicommElement:
     return work
 
 
-def _iter_window_multipliers(window: ClosureWindow, max_total: int):
-    """All monomials over the window's variables with degree <= max_total."""
-    yield Monomial()
-    for total in range(1, max_total + 1):
-        for mu in _iter_multidegrees(window.max_variables, total):
-            if sum(mu.values()) != total:
-                continue
-            yield from _iter_splits(mu)
-
-
 def spanning_shift_multiples(gens, window: ClosureWindow) -> list:
     """Shifted monomial multiples of the generators within the window.
 
@@ -482,10 +446,13 @@ def spanning_shift_multiples(gens, window: ClosureWindow) -> list:
         indices = sorted(g.indices())
         if len(indices) > window.max_variables:
             raise WindowTooSmall("generator uses more variables than the window")
+        # every monomial of degree at most room, ascending in the degree
         room = window.max_degree - g.degree()
+        degrees = sorted(_multidegrees((room,) * window.max_variables, room), key=sum)
+        mults = [m for d in degrees for m in _iter_splits(d)]
         for targets in combinations(range(1, window.max_variables + 1), len(indices)):
             shifted = g.apply_index_map(dict(zip(indices, targets)))
-            for mult in _iter_window_multipliers(window, room):
+            for mult in mults:
                 if mult.is_unit:
                     out.append(shifted)
                 else:
@@ -512,11 +479,17 @@ def specht_basis_search(gens, window: ClosureWindow) -> SpechtSearchResult:
     """Select a small basis and verify it against the bounded closure.
 
     Generators are reduced against the elements already kept, so
-    redundant inputs drop out.  The closure span is then enumerated; its
-    leading monomials yield the minimal weight antichain.  The verdict
-    is true when every leading monomial dominates some kept weight and
-    every spanning element reduces to zero, which together force every
-    element of the bounded span to reduce to zero.
+    redundant inputs drop out.  The spanning shift multiples are then
+    inserted into one echelon; its pivots yield the minimal weight
+    antichain, and the multiples that enlarged it form a basis of the
+    span.  The verdict is true when each of those reduces to zero.
+
+    That decides the whole span: at weight w, specht_reduce always
+    subtracts one fixed lift h_w, and the h_w have distinct leading
+    weights, so an element reduces to zero exactly when it lies in the
+    span of the h_w, a linear condition that holds on the span when it
+    holds on a basis.  It also makes every pivot, the leading weight of
+    some element that reduced to zero, dominate a kept weight.
     """
     # relabel each generator onto x1..xk; a strictly increasing map keeps
     # the T-ideal, and lets the kept weights embed into the closure pivots
@@ -533,15 +506,10 @@ def specht_basis_search(gens, window: ClosureWindow) -> SpechtSearchResult:
         r = specht_reduce(g, basis)
         if not r.is_zero:
             basis.append(r)
-    spanning = spanning_shift_multiples(gens, window)
     ech = Echelon(field)
-    for v in spanning:
-        ech.insert(dict(v.quad.terms))
-    pivots = ech.pivots()
-    antichain = minimal_antichain(pivots)
-    weights = [weight_of(b)[0] for b in basis]
-    covered = all(any(higman_leq(wb, p) for wb in weights) for p in pivots)
-    verified = covered and all(specht_reduce(v, basis).is_zero for v in spanning)
+    grew = [v for v in spanning_shift_multiples(gens, window) if ech.insert(v.quad.terms) is None]
+    antichain = minimal_antichain(ech.pivots())
+    verified = all(specht_reduce(v, basis).is_zero for v in grew)
     return SpechtSearchResult(basis, antichain, verified)
 
 

@@ -537,6 +537,18 @@ def test_two_sided_accepts_plain_lists_and_zero_cases():
     assert two_sided_member(g, [zero, g])
 
 
+def test_two_sided_membership_in_the_empty_ideal_carries_no_certificate_for_a_non_member():
+    """An empty generator list takes the same path as a presentation: zero
+    is a member with an empty certificate, and a non-member carries no
+    certificate, as left and right non-members do."""
+    g = quad_element(QQ, ("y1*z1", 1))
+    res = two_sided_member(BicommElement.zero(QQ), [])
+    assert res and (res.mu, res.span, res.cofactors) == ({}, {}, [])
+    for member in (two_sided_member, left_ideal_member, right_ideal_member):
+        res = member(g, [])
+        assert not res and (res.mu, res.span, res.cofactors) == (None, None, None)
+
+
 def test_one_sided_membership_matches_direct_closure():
     rng = random.Random(408)
     for field in (QQ, F2):

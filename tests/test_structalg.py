@@ -104,6 +104,20 @@ def test_elements_store_canonical_coordinates_at_integer_indices():
     assert f3.check_element({0: Fraction(1, 2)}) == {0: 2}
 
 
+def test_evaluate_polynomial_reads_dict_keys_by_the_index_rule():
+    """A dict key of evaluate_polynomial is read like a coordinate index of
+    check_element, an int that is no bool or a string of digits, and must
+    be at least 1; a float or a boolean is not truncated or coerced onto
+    x1, and every other key raises BadElement."""
+    w3 = witt_truncated(3, QQ)
+    x1x2 = NAPolynomial.term(QQ, Node(Leaf(1), Leaf(2)))
+    assert evaluate_polynomial(x1x2, {"1": {1: 1}, 2: {1: 1}}, w3) == {1: 1}
+    assert evaluate_polynomial(x1x2, {1: {1: 1}, "2": {1: 1}}, w3) == {1: 1}
+    for bad in (1.9, 1.0, True, False, "a", None, (1,), 0, -2, "0", "-1"):
+        with pytest.raises(BadElement):
+            evaluate_polynomial(x1x2, {bad: {1: 1}, 2: {1: 1}}, w3)
+
+
 def test_product_is_bilinear():
     rng = random.Random(601)
     for field in (QQ, F5):

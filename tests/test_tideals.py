@@ -10,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bicomm.algebra import BicommElement, normalize
-from bicomm.errors import NotDominated, UnsupportedGenerator, WindowTooSmall, WrongCharacteristic
+from bicomm.errors import BadElement, NotDominated, UnsupportedGenerator, WindowTooSmall, WrongCharacteristic
 from bicomm.linalg import Echelon
 from bicomm.monomials import Monomial, parse_monomial
-from bicomm.orders import higman_embedding, higman_leq, weight_key, weight_of
+from bicomm.orders import higman_embedding, higman_leq, minimal_antichain, weight_key, weight_of
 from bicomm.polynomials import Poly
 from bicomm.terms import parse_expression
 from bicomm.tideals import (
@@ -29,7 +29,7 @@ from bicomm.tideals import (
     t_ideal_member_bounded,
 )
 
-from conftest import QQ, F2, F3, element, quad_element, random_element, random_scalar
+from conftest import QQ, F2, F3, element, quad_element, random_element, random_quad_element, random_scalar
 
 
 def _commutator(field, i=1, j=2):
@@ -78,6 +78,21 @@ def test_substitution_defaults_and_validation():
         ClosureWindow(0, 2)
     with pytest.raises(ValueError):
         ClosureWindow(3, -1)
+
+
+def test_substitution_accepts_only_positive_int_keys_and_element_images():
+    """A key must be an int >= 1 that is no bool, so 1.9 and True do not
+    silently replace x1; an image must be a BicommElement.  Anything else
+    raises BadElement."""
+    x3 = BicommElement.generator(QQ, 3)
+    for bad in (1.9, 1.0, True, "a", "1", None, 0, -2):
+        with pytest.raises(BadElement):
+            Substitution({bad: x3})
+    for bad in (5, "x3", None, quad_element(QQ, ("y1*z3", 1)).quad):
+        with pytest.raises(BadElement):
+            Substitution({1: bad})
+    f = quad_element(QQ, ("y1*z2", 1))
+    assert apply_substitution(f, Substitution({2: x3})) == quad_element(QQ, ("y1*z3", 1))
 
 
 def test_commutator_closure_has_codimension_one_buckets():
@@ -402,6 +417,32 @@ def test_specht_basis_search_drops_redundant_generators():
     found = specht_basis_search([comm, extra], ClosureWindow(4, 2))
     assert found.basis == [comm]
     assert found.verified
+
+
+def test_search_verdict_matches_reducing_every_spanning_element():
+    """The verdict, decided on the spanning multiples that enlarge the
+    span, equals the rule that asks every closure pivot to dominate a kept
+    weight and every spanning multiple to reduce to zero."""
+    rng = random.Random(519)
+    unverified = 0
+    for field in (QQ, F2, F3):
+        for _ in range(15):
+            g = random_quad_element(rng, field, max_index=2, max_degree=3, terms=3)
+            window = ClosureWindow(rng.randint(3, 4), rng.randint(2, 3))
+            found = specht_basis_search([g], window)
+            relabeled = [g.apply_index_map({i: n for n, i in enumerate(sorted(g.indices()), 1)})]
+            spanning = spanning_shift_multiples(relabeled, window)
+            ech = Echelon(field)
+            for v in spanning:
+                ech.insert(dict(v.quad.terms))
+            pivots = ech.pivots()
+            weights = [weight_of(b)[0] for b in found.basis]
+            covered = all(any(higman_leq(w, p) for w in weights) for p in pivots)
+            old = covered and all(specht_reduce(v, found.basis).is_zero for v in spanning)
+            assert found.verified == old, (g, window)
+            assert found.antichain == minimal_antichain(pivots)
+            unverified += not old
+    assert unverified
 
 
 def test_verified_search_means_sampled_combinations_reduce_to_zero():
