@@ -2,11 +2,12 @@
 
 An algebra of dimension n over a field is stored as a sparse table of
 basis products e_i * e_j = sum_k c[k] e_k; absent (i, j) entries mean the
-product is zero.  Elements are sparse coordinate dicts index -> coordinate.
-A coordinate is a field scalar, or, in the two complete identity checks, a
-generic coordinate: a `Poly` in indeterminates y_n, one per pair of an
-argument and a basis vector.  A single product loop over the table
-serves both kinds and takes the coordinate arithmetic from its caller.
+product is zero.  Elements are sparse coordinate dicts index -> scalar.
+Evaluation works on values: dicts mapping (k, y) to a nonzero scalar,
+with k a basis index and y the packed y-int `Monomial(...)[0]` of a
+monomial in indeterminates y_n.  A plain coordinate sits at y = 0; the
+two complete identity checks give each pair of an argument and a basis
+vector its own y_n.  One product loop sums every value via Field.add_into.
 
 Identity checking expands a non-associative polynomial f at generic
 coordinates (the generic-element method), or evaluates it at random
@@ -20,10 +21,10 @@ from __future__ import annotations
 
 import json
 import random
+from functools import partial
 
 from .errors import BadAlgebra, BadElement, NotMultilinear
-from .monomials import Monomial
-from .polynomials import Poly
+from .monomials import Monomial, _unpack
 from .scalars import Field
 from .terms import Leaf, NAPolynomial, Node, term_leaves
 
@@ -45,6 +46,13 @@ def _index(raw, what: str) -> int:
     raise BadElement(f"{what} {raw!r} is not an integer")
 
 
+def _require_int(n, what: str) -> None:
+    """Raise ValueError unless n is an int that is no bool, which range()
+    and the comparisons below would truncate or coerce."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"{what} must be an int, got {n!r}")
+
+
 def _json_int(raw) -> int:
     """An integer from a JSON integer or string."""
     if _is_json_int(raw):
@@ -55,28 +63,36 @@ def _json_int(raw) -> int:
 class StructureAlgebra:
     """Algebra by structure constants over a scalar field."""
 
-    __slots__ = ("dim", "field", "table")
+    __slots__ = ("dim", "field", "table", "_nonzero")
 
     def __init__(self, dim: int, field: Field, table=None):
+        _require_int(dim, "dimension")
         if dim < 1:
             raise ValueError(f"dimension must be positive, got {dim}")
         self.dim = dim
         self.field = field
         self.table = {}
+        self._nonzero = {}
         if table:
             for (i, j), coeffs in dict(table).items():
                 self._set_product(i, j, coeffs)
 
-    def _set_product(self, i: int, j: int, coeffs) -> None:
+    def _set_product(self, i, j, coeffs) -> None:
+        """Store e_i * e_j in table as a dense coefficient tuple, and its
+        nonzero (k, c) pairs, which evaluation runs over, in _nonzero.
+        Indices are read like those of check_element and coefficients
+        stored through Field.canonical."""
+        i, j = _index(i, "basis index"), _index(j, "basis index")
         if not (0 <= i < self.dim and 0 <= j < self.dim):
             raise BadElement(f"basis index pair ({i}, {j}) out of range")
-        coeffs = list(coeffs)
+        coeffs = tuple(map(self.field.canonical, coeffs))
         if len(coeffs) != self.dim:
             raise BadElement(
                 f"product ({i}, {j}) has {len(coeffs)} coefficients, need {self.dim}"
             )
         if any(coeffs):
-            self.table[(i, j)] = tuple(coeffs)
+            self.table[(i, j)] = coeffs
+            self._nonzero[(i, j)] = tuple((k, c) for k, c in enumerate(coeffs) if c)
 
     def basis_element(self, i: int) -> dict:
         if not 0 <= i < self.dim:
@@ -98,7 +114,7 @@ class StructureAlgebra:
         return out
 
     def product(self, u: dict, v: dict) -> dict:
-        return _product(self.table, _scalar_ops(self.field), u, v)
+        return _coordinates(_product(self, _at_zero(u), _at_zero(v)))
 
     def to_json_obj(self) -> dict:
         rows = []
@@ -179,6 +195,7 @@ def witt_truncated(n: int, field: Field) -> StructureAlgebra:
     (g f') d/dx gives e_i * e_j = i e_{i+j-1}, cut to zero when the
     exponent leaves the truncation range.
     """
+    _require_int(n, "dimension")
     if n < 1:
         raise ValueError(f"need a positive dimension, got {n}")
     table = {}
@@ -195,40 +212,34 @@ def witt_truncated(n: int, field: Field) -> StructureAlgebra:
 # --- evaluation -------------------------------------------------------------
 
 
-def _scalar_ops(field: Field) -> tuple:
-    """(add, mul, scale) for coordinates that are field scalars."""
-    return field.add, field.mul, field.mul
+def _at_zero(v: dict) -> dict:
+    """A coordinate dict as a value, every coordinate at y = 0."""
+    return {(i, 0): c for i, c in v.items()}
 
 
-# (add, mul, scale) for generic coordinates, polynomials in indeterminates
-_POLY_OPS = (Poly.add, Poly.mul, lambda c, p: p.scale(c))
+def _coordinates(value: dict) -> dict:
+    """A value whose keys all sit at y = 0 as a coordinate dict."""
+    return {i: c for (i, _), c in value.items()}
 
 
-def _product(table: dict, ops: tuple, u: dict, v: dict) -> dict:
-    """Product of two coordinate dicts through the structure table, with
-    the coordinate arithmetic ops = (add, mul, scale)."""
-    add, mul, scale = ops
+def _product(alg: StructureAlgebra, u: dict, v: dict) -> dict:
+    """Product of two values through the structure table.  Each nonzero
+    entry c of e_i * e_j contributes a*b*c at (k, y1 + y2) for a at
+    (i, y1) in u and b at (j, y2) in v, and one Field.add_into call sums
+    the contributions.  y1 + y2 multiplies the two monomials; it needs no
+    guard check, since an exponent never exceeds the identity's degree."""
     acc = {}
-    for i, a in u.items():
-        for j, b in v.items():
-            coeffs = table.get((i, j))
-            if coeffs is None:
-                continue
-            ab = mul(a, b)
-            for k, c in enumerate(coeffs):
-                if not c:
-                    continue
-                w = scale(c, ab)
-                if k in acc:
-                    w = add(acc[k], w)
-                if w:
-                    acc[k] = w
-                else:
-                    acc.pop(k, None)
+    nonzero = alg._nonzero
+    alg.field.add_into(acc, (
+        ((k, y1 + y2), a * b * c)
+        for (i, y1), a in u.items()
+        for (j, y2), b in v.items()
+        for k, c in nonzero.get((i, j), ())
+    ))
     return acc
 
 
-def _eval_tree(t, args: dict, alg: StructureAlgebra, ops: tuple) -> dict:
+def _eval_tree(t, args: dict, alg: StructureAlgebra) -> dict:
     """Value of one tree, left subtree before right, folded on an explicit
     stack where a None mark multiplies the last two values."""
     done = []
@@ -237,7 +248,7 @@ def _eval_tree(t, args: dict, alg: StructureAlgebra, ops: tuple) -> dict:
         s = todo.pop()
         if s is None:
             right = done.pop()
-            done[-1] = _product(alg.table, ops, done[-1], right)
+            done[-1] = _product(alg, done[-1], right)
         elif isinstance(s, Leaf):
             got = args.get(s.index)
             if got is None:
@@ -248,20 +259,13 @@ def _eval_tree(t, args: dict, alg: StructureAlgebra, ops: tuple) -> dict:
     return done[0]
 
 
-def _eval_poly(terms: list, args: dict, alg: StructureAlgebra, ops: tuple) -> dict:
+def _eval_poly(terms: list, args: dict, alg: StructureAlgebra) -> dict:
     """Value of a polynomial, given as its (tree, scalar) terms, at one
-    argument tuple."""
-    add, _, scale = ops
+    tuple of argument values: the sum of scalar * tree value, added
+    through Field.add_into."""
     acc = {}
     for t, c in terms:
-        for k, v in _eval_tree(t, args, alg, ops).items():
-            w = scale(c, v)
-            if k in acc:
-                w = add(acc[k], w)
-            if w:
-                acc[k] = w
-            else:
-                acc.pop(k, None)
+        alg.field.add_into(acc, _eval_tree(t, args, alg).items(), c)
     return acc
 
 
@@ -279,10 +283,10 @@ def evaluate_polynomial(f: NAPolynomial, args, alg: StructureAlgebra) -> dict:
         for k, v in args.items():
             if (index := _index(k, "variable index")) < 1:
                 raise BadElement(f"variable index {k!r} is below 1")
-            supplied[index] = alg.check_element(v)
+            supplied[index] = _at_zero(alg.check_element(v))
     else:
-        supplied = {r + 1: alg.check_element(v) for r, v in enumerate(args)}
-    return _eval_poly(f.sorted_terms(), supplied, alg, _scalar_ops(alg.field))
+        supplied = {r + 1: _at_zero(alg.check_element(v)) for r, v in enumerate(args)}
+    return _coordinates(_eval_poly(f.sorted_terms(), supplied, alg))
 
 
 # --- identity checking ------------------------------------------------------
@@ -345,13 +349,10 @@ def _multilinear_variables(f: NAPolynomial) -> list:
 
 
 def _generic_coordinates(variables: list, alg: StructureAlgebra) -> dict:
-    """Generic coordinates: the coordinate of e_i in the variable at
-    position pos is the indeterminate y_n, n = pos * dim + i + 1."""
+    """Generic values: the coordinate of e_i in the variable at position
+    pos is the indeterminate y_n, n = pos * dim + i + 1, in index order."""
     return {
-        k: {
-            i: Poly.monomial(alg.field, Monomial([(pos * alg.dim + i + 1, 1)]))
-            for i in range(alg.dim)
-        }
+        k: {(i, Monomial([(pos * alg.dim + i + 1, 1)])[0]): alg.field.one for i in range(alg.dim)}
         for pos, k in enumerate(variables)
     }
 
@@ -381,37 +382,29 @@ def check_identity(
         args = _generic_coordinates(variables, alg)
         first = variables[0]
         generic = args[first]
-        for i in range(alg.dim):
-            args[first] = {i: generic[i]}
-            value = _eval_poly(terms, args, alg, _POLY_OPS)
-            if value:  # y_{n_1} ... y_{n_r} has the coefficient f(e_{(n_1-1) % dim}, ...)
-                monomials = (m for p in value.values() for m in p.terms)
-                witness = min(tuple((n - 1) % alg.dim for n, _ in m.ys) for m in monomials)
+        for item in generic.items():
+            args[first] = dict([item])
+            if value := _eval_poly(terms, args, alg):
+                # y_{n_1} ... y_{n_r} has the coefficient f(e_{(n_1-1) % dim}, ...)
+                witness = min(tuple((n - 1) % alg.dim for n, _ in _unpack(y)) for _, y in value)
                 return CheckResult(False, witness, mode)
         return CheckResult(True, None, mode)
     variables = sorted(f.variables())
     if mode == "symbolic":
-        value = _eval_poly(terms, _generic_coordinates(variables, alg), alg, _POLY_OPS)
+        value = _eval_poly(terms, _generic_coordinates(variables, alg), alg)
         return CheckResult(not value, None, mode)
     if mode == "sample":
+        _require_int(samples, "samples")
         if samples < 1:
             raise ValueError(f"need at least one sample, got {samples}")
         rng = random.Random(seed)
+        # each draw is already a field element: an int in -3..3 over Q, a residue over F_p
+        p = alg.field.characteristic
+        draw = partial(rng.randrange, p) if p else partial(rng.randint, -3, 3)
         for _ in range(samples):
-            args = {}
-            for k in variables:
-                coords = {}
-                for i in range(alg.dim):
-                    if alg.field.is_rationals:
-                        c = alg.field.from_int(rng.randint(-3, 3))
-                    else:
-                        c = alg.field.from_int(rng.randrange(alg.field.characteristic))
-                    if c:
-                        coords[i] = c
-                args[k] = coords
-            if _eval_poly(terms, args, alg, _scalar_ops(alg.field)):
-                witness = tuple(args[k] for k in variables)
-                return CheckResult(False, witness, mode)
+            args = {k: {(i, 0): c for i in range(alg.dim) if (c := draw())} for k in variables}
+            if _eval_poly(terms, args, alg):
+                return CheckResult(False, tuple(map(_coordinates, args.values())), mode)
         return CheckResult(True, None, mode)
     raise ValueError(f"unknown identity-check mode {mode!r}")
 

@@ -106,6 +106,9 @@ class ClosureWindow:
     max_variables: int = 3
 
     def __post_init__(self):
+        for bound in (self.max_degree, self.max_variables):
+            if not isinstance(bound, int) or isinstance(bound, bool):
+                raise ValueError(f"window bounds must be ints, got {bound!r}")
         if self.max_degree < 1 or self.max_variables < 1:
             raise ValueError("window bounds must be positive")
 

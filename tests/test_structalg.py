@@ -528,3 +528,164 @@ def test_multilinear_witness_matches_the_tuple_by_tuple_reference():
             assert (got.holds, got.witness) == (want is None, want), (str(f), alg)
             seen.add("holds" if want is None else "at 0" if not any(want) else "later")
     assert seen == {"holds", "at 0", "later"}
+
+
+def test_integer_parameters_refuse_floats_and_bools():
+    """A dimension and a sample count must be ints that are no bools: a
+    float, a bool or a string raises ValueError, as a count below 1 does,
+    instead of being truncated or read as 1."""
+    for bad in (2.5, 2.0, True, "2", None):
+        with pytest.raises(ValueError, match="dimension must be an int"):
+            witt_truncated(bad, QQ)
+        with pytest.raises(ValueError, match="dimension must be an int"):
+            StructureAlgebra(bad, QQ)
+    w3 = witt_truncated(3, QQ)
+    f = right_commutativity(QQ)
+    for bad in (True, 1.0, 2.5, "3"):
+        with pytest.raises(ValueError, match="samples must be an int"):
+            check_identity(f, w3, mode="sample", samples=bad)
+    assert not check_identity(f, w3, mode="sample", samples=50, seed=7)
+
+
+def test_structure_tables_are_validated_like_elements():
+    """Table indices follow the index rule of check_element, and each
+    coefficient is stored through Field.canonical: a float, a bool, text
+    or None raises BadElement, and a residue is reduced mod p."""
+    with pytest.raises(BadElement):
+        StructureAlgebra(1, QQ, {(0, 0): [0.5]})
+    for bad in ("x", True, None, 1.0):
+        with pytest.raises(BadElement):
+            StructureAlgebra(2, QQ, {(0, 1): [bad, 0]})
+    for pair in ((0.5, 1), (True, 1), (1, False), ("a", 0), (None, 0)):
+        with pytest.raises(BadElement):
+            StructureAlgebra(2, QQ, {pair: [1, 0]})
+    reduced = StructureAlgebra(2, F3, {(0, 1): [4, 0], (1, 1): [-1, Fraction(1, 2)]})
+    assert reduced == StructureAlgebra(2, F3, {(0, 1): [1, 0], (1, 1): [2, 2]})
+    assert reduced.table == {(0, 1): (1, 0), (1, 1): (2, 2)}
+    assert '[0, 1, ["1", "0"]]' in reduced.to_json()
+    assert reduced.product({0: 1}, {1: 1}) == {0: 1}
+    assert StructureAlgebra(2, F3, {(0, 1): [3, 0]}).table == {}
+    half = Fraction(1, 2)
+    assert StructureAlgebra(2, QQ, {("1", 0): [half, 0]}).table == {(1, 0): (half, 0)}
+
+
+def _reference_add(field, acc, k, x):
+    s = field.add(acc.get(k, field.zero), x)
+    if s:
+        acc[k] = s
+    else:
+        acc.pop(k, None)
+
+
+def _reference_product(alg, u, v):
+    """Reference product: plain loops over the dense rows of alg.table,
+    each sum in the field's own add and mul, cancelled keys dropped."""
+    field = alg.field
+    acc = {}
+    for i, a in u.items():
+        for j, b in v.items():
+            for k, c in enumerate(alg.table.get((i, j), ())):
+                if c:
+                    _reference_add(field, acc, k, field.mul(field.mul(a, b), c))
+    return acc
+
+
+def _reference_value(f, args, alg):
+    """Reference value of f at coordinate dicts args[variable index]."""
+
+    def tree(t):
+        if isinstance(t, Leaf):
+            return args[t.index]
+        return _reference_product(alg, tree(t.left), tree(t.right))
+
+    acc = {}
+    for t, c in f.sorted_terms():
+        for k, v in tree(t).items():
+            _reference_add(alg.field, acc, k, alg.field.mul(c, v))
+    return acc
+
+
+def _typed(value):
+    """Items of a coordinate dict in key order, with each scalar's type."""
+    return [(k, c, type(c)) for k, c in value.items()]
+
+
+def _random_value(rng, field):
+    """A canonical scalar, often zero; over Q an int or a Fraction,
+    integral Fractions included."""
+    if field.is_rationals:
+        return rng.choice((rng.randint(-3, 3), Fraction(rng.randint(-3, 3), rng.randint(1, 3))))
+    return rng.randrange(field.characteristic)
+
+
+def _random_coordinates(rng, field, dim):
+    """Random coordinates, in shuffled index order."""
+    indices = rng.sample(range(dim), rng.randint(0, dim))
+    return {i: c for i in indices if (c := _random_value(rng, field))}
+
+
+def _random_coefficient_table(rng, field, dim):
+    """Like _random_table_algebra, with Fraction coefficients over Q."""
+    table = {}
+    for i in range(dim):
+        for j in range(dim):
+            if rng.random() < 0.6:
+                table[(i, j)] = [_random_value(rng, field) for _ in range(dim)]
+    return StructureAlgebra(dim, field, table)
+
+
+def test_product_and_evaluation_match_a_dense_reference():
+    """product and evaluate_polynomial give the reference's values, key
+    order and int/Fraction types on random tables and arguments."""
+    rng = random.Random(2020)
+    for field in (QQ, F2, F3, F5):
+        for dim in (1, 2, 3, 4):
+            for _ in range(6):
+                alg = _random_coefficient_table(rng, field, dim)
+                for _ in range(5):
+                    u, v = (_random_coordinates(rng, field, dim) for _ in range(2))
+                    assert _typed(alg.product(u, v)) == _typed(_reference_product(alg, u, v))
+                f = _random_identity(rng, field, rng.random() < 0.5)
+                args = [_random_coordinates(rng, field, dim) for _ in range(3)]
+                want = _reference_value(f, dict(enumerate(args, 1)), alg)
+                assert _typed(evaluate_polynomial(f, args, alg)) == _typed(want), (str(f), alg)
+
+
+def _reference_sample_check(f, alg, samples, seed):
+    """Sample mode replayed: per sample, per variable in sorted order, per
+    basis index one draw, randint(-3, 3) over Q or randrange(p) over F_p,
+    zeros dropped; the first tuple with a nonzero reference value fails."""
+    rng = random.Random(seed)
+    field = alg.field
+    variables = sorted(f.variables())
+    for _ in range(samples):
+        args = {}
+        for k in variables:
+            coords = {}
+            for i in range(alg.dim):
+                c = rng.randint(-3, 3) if field.is_rationals else rng.randrange(field.characteristic)
+                if c:
+                    coords[i] = c
+            args[k] = coords
+        if _reference_value(f, args, alg):
+            return False, tuple(args[k] for k in variables)
+    return True, None
+
+
+def test_sample_mode_matches_a_replayed_reference():
+    rng = random.Random(2021)
+    seen = set()
+    for field in (QQ, F2, F3, F5):
+        algebras = [witt_truncated(3, field), witt_truncated(4, field)]
+        algebras.append(_truncated_free_algebra(field, 3)[0])
+        algebras += [_random_coefficient_table(rng, field, d) for d in (1, 2, 3)]
+        for alg in algebras:
+            identities = [left_commutativity(field), right_commutativity(field)]
+            identities += [_random_identity(rng, field, rng.random() < 0.5) for _ in range(3)]
+            for f in identities:
+                samples, seed = rng.randint(1, 6), rng.randrange(1000)
+                got = check_identity(f, alg, mode="sample", samples=samples, seed=seed)
+                want = _reference_sample_check(f, alg, samples, seed)
+                assert (got.holds, got.witness) == want, (str(f), alg, samples, seed)
+                seen.add(got.holds)
+    assert seen == {True, False}

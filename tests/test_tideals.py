@@ -80,6 +80,17 @@ def test_substitution_defaults_and_validation():
         ClosureWindow(3, -1)
 
 
+def test_closure_window_bounds_are_ints():
+    """A window bound must be an int that is no bool: a float or a bool
+    raises ValueError, as a bound below 1 does, instead of a bare
+    TypeError inside the closure or a bound read as 1."""
+    for bad in ((2.5, 2), (3, 2.0), (True, 2), (3, False), ("3", 2), (3, None)):
+        with pytest.raises(ValueError, match="window bounds must be ints"):
+            ClosureWindow(*bad)
+    window = ClosureWindow(3, 2)
+    assert (window.max_degree, window.max_variables) == (3, 2)
+
+
 def test_substitution_accepts_only_positive_int_keys_and_element_images():
     """A key must be an int >= 1 that is no bool, so 1.9 and True do not
     silently replace x1; an image must be a BicommElement.  Anything else
