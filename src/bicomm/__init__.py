@@ -12,6 +12,7 @@ from .algebra import (
     multilinear_dimension,
     normalize,
     normalize_term,
+    parse_element,
 )
 from .errors import BicommError
 from .ideals import (
@@ -94,6 +95,7 @@ __all__ = [
     "multilinear_dimension",
     "normalize",
     "normalize_term",
+    "parse_element",
     "parse_expression",
     "parse_monomial",
     "poly_normal_form",

@@ -20,18 +20,29 @@ Unfolded over a tree, the rule gives the slot rule: a lone leaf x_i stays
 x_i, and a tree with two or more leaves is one mixed monomial with
 coefficient 1, with y_i for each leaf x_i that is the left factor of its
 own product and z_i for each right factor: x1*(x2*x3) -> y1 y2 z3.
+normalize applies it to trees built in code.  parse_element reads text
+without building trees: it applies f * g = t(f) s(g) at each product of
+the text, to the normal forms of the two factors.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from math import comb
 
+from . import monomials
 from .errors import BadElement, FieldMismatch
-from .monomials import Monomial, check_index_map, y_variable, z_variable
+from .monomials import Monomial, _monomial, check_index_map, y_variable, z_variable
 from .polynomials import Poly, _poly, add_products, format_terms
 from .scalars import Field
-from .terms import Leaf, NAPolynomial, NATerm, _symbols
+from .terms import Leaf, NAPolynomial, NATerm, _parse, _symbols, parse_expression
+
+
+def _check_index(i) -> None:
+    """Raise BadElement unless i is an int >= 1 that is no bool."""
+    if not isinstance(i, int) or isinstance(i, bool) or i < 1:
+        raise BadElement(f"bad generator index {i!r}")
 
 
 class BicommElement:
@@ -41,9 +52,10 @@ class BicommElement:
 
     def __init__(self, field: Field, lin=None, quad: Poly | None = None):
         self.field = field
-        self.lin = {i: v for i, c in dict(lin or ()).items() if (v := field.canonical(c))}
-        if self.lin and min(self.lin) < 1:
-            raise BadElement(f"bad generator index {min(self.lin)}")
+        lin = dict(lin or ())
+        for i in lin:
+            _check_index(i)
+        self.lin = {i: v for i, c in lin.items() if (v := field.canonical(c))}
         self.quad = quad if quad is not None else Poly.zero(field)
         if self.quad.field != field:
             raise FieldMismatch("quadratic part uses a different field")
@@ -59,7 +71,8 @@ class BicommElement:
 
     @classmethod
     def generator(cls, field: Field, i: int) -> "BicommElement":
-        return cls(field, {i: field.one})
+        _check_index(i)
+        return _element(field, {i: field.one}, _poly(field, {}))
 
     @classmethod
     def from_quad(cls, quad: Poly) -> "BicommElement":
@@ -223,6 +236,64 @@ def normalize(poly: NAPolynomial) -> BicommElement:
     lin, quad = {}, {}
     field.add_into(lin, lin_terms)
     field.add_into(quad, quad_terms)
+    return _element(field, lin, _poly(field, quad))
+
+
+class _Unpackable(Exception):
+    """A value that packed monomials cannot hold: an index above 2^20 or an
+    exponent of 2^31."""
+
+
+def _packed_product(field: Field, a: dict, b: dict) -> dict:
+    """Product of two values of parse_element by f * g = t(f) s(g): a key
+    is the index i of a lone x_i, or the packed pair (Y, Z) of a mixed
+    monomial.  Distinct pairs of terms can give the same monomial, so all
+    of them sum through one add_into call.  A product of two single terms
+    sums nothing and is built directly; every product inside a bracketed
+    word is one."""
+    if len(a) == 1 == len(b):
+        ((k1, c1),) = a.items()
+        ((k2, c2),) = b.items()
+        y1, z1 = y_variable(k1) if type(k1) is int else k1
+        y2, z2 = z_variable(k2) if type(k2) is int else k2
+        acc = {(y1 + y2, z1 + z2): field.mul(c1, c2)}
+    else:
+        left = [(y_variable(k) if type(k) is int else k, c) for k, c in a.items()]
+        right = [(z_variable(k) if type(k) is int else k, c) for k, c in b.items()]
+        acc = {}
+        field.add_into(
+            acc, (((y1 + y2, z1 + z2), c1 * c2) for (y1, z1), c1 in left for (y2, z2), c2 in right)
+        )
+    guard = monomials._guard  # read after y_variable and z_variable widened it
+    for y, z in acc:
+        if (y | z) & guard:
+            raise _Unpackable
+    return acc
+
+
+def parse_element(text: str, field: Field) -> BicommElement:
+    """normalize(parse_expression(text, field)), evaluated as it is read:
+    each product applies t(f) s(g) to the normal forms of its factors, so
+    no tree is built.  Input that packed monomials cannot hold (an index
+    above 2^20) goes through the trees, which alone can run it: its trees
+    may still cancel, and a syntax error after it still wins."""
+    one = field.one
+
+    def leaf(i):
+        if i > monomials._MAX_INDEX:
+            raise _Unpackable
+        return {i: one}
+
+    try:
+        value = _parse(text, field, leaf, functools.partial(_packed_product, field))
+    except _Unpackable:
+        return normalize(parse_expression(text, field))
+    lin, quad = {}, {}
+    for k, c in value.items():
+        if type(k) is int:
+            lin[k] = c
+        else:
+            quad[_monomial(*k)] = c
     return _element(field, lin, _poly(field, quad))
 
 

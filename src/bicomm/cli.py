@@ -28,7 +28,7 @@ import math
 import os
 import sys
 
-from .algebra import BicommElement, graded_dimension, multilinear_dimension, normalize
+from .algebra import graded_dimension, multilinear_dimension, parse_element
 from .errors import BicommError
 from .ideals import chain_stabilization, left_ideal_member, right_ideal_member, two_sided_member
 from .monomials import parse_monomial
@@ -81,16 +81,12 @@ def _read_text(path: str) -> str:
         raise BicommError(f"cannot read {path}: {e.strerror}") from None
 
 
-def _parse_element(text: str, field: Field) -> BicommElement:
-    return normalize(parse_expression(text, field))
-
-
 def _element_lines(text: str, field: Field) -> list:
     out = []
     for line in text.splitlines():
         line = line.split("#", 1)[0].strip()
         if line:
-            out.append(_parse_element(line, field))
+            out.append(parse_element(line, field))
     return out
 
 
@@ -110,7 +106,7 @@ def _read_chain(path: str, field: Field) -> list:
                 blocks.append(current)
                 current = []
             continue
-        current.append(_parse_element(stripped, field))
+        current.append(parse_element(stripped, field))
     steps = []
     acc = []
     for block in blocks:
@@ -124,15 +120,15 @@ def _read_chain(path: str, field: Field) -> list:
 
 def _cmd_normalize(args, em: _Emitter) -> int:
     field = Field.parse(args.field)
-    value = _parse_element(args.expr, field)
+    value = parse_element(args.expr, field)
     em.emit("normal_form", str(value))
     return 0
 
 
 def _cmd_mul(args, em: _Emitter) -> int:
     field = Field.parse(args.field)
-    left = _parse_element(args.left, field)
-    right = _parse_element(args.right, field)
+    left = parse_element(args.left, field)
+    right = parse_element(args.right, field)
     em.emit("product", str(left * right))
     return 0
 
@@ -183,7 +179,7 @@ def _cmd_higman_cmp(args, em: _Emitter) -> int:
 def _cmd_ideal_member(args, em: _Emitter) -> int:
     field = Field.parse(args.field)
     gens = _read_generators(args.gens, field)
-    elem = _parse_element(args.elem, field)
+    elem = parse_element(args.elem, field)
     if args.mode == "two":
         res = two_sided_member(elem, gens)
     elif args.mode == "left":
@@ -215,7 +211,7 @@ def _cmd_chain_stabilize(args, em: _Emitter) -> int:
 def _cmd_tideal_member(args, em: _Emitter) -> int:
     field = Field.parse(args.field)
     gens = _read_generators(args.gens, field)
-    elem = _parse_element(args.elem, field)
+    elem = parse_element(args.elem, field)
     window = ClosureWindow(args.max_deg, args.max_vars)
     member = t_ideal_member_bounded(elem, gens, window)
     em.emit("member", "MEMBER" if member else "NOT-MEMBER")

@@ -58,12 +58,15 @@ def _cover(nbits: int) -> None:
 
 
 def _pack(pairs) -> int:
-    """Validated packed int of (index, exponent) pairs; a repeated index
-    adds its exponents."""
+    """Validated packed int of (index, exponent) pairs of ints that are no
+    bools; a repeated index adds its exponents."""
     v = 0
     for i, e in pairs:
+        if not isinstance(i, int) or isinstance(i, bool):
+            raise ValueError(f"variable index must be an int, got {i!r}")
+        if not isinstance(e, int) or isinstance(e, bool):
+            raise ValueError(f"exponent must be an int, got {e!r}")
         if e:
-            i, e = int(i), int(e)
             if i < 1:
                 raise ValueError(f"variable index must be >= 1, got {i}")
             if i > _MAX_INDEX:

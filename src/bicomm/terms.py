@@ -10,6 +10,12 @@ as ambiguous.
     factor      := 'x' digits | '(' poly ')'
     scalar      := digits | digits '/' digits
 
+One tokenizer and one grammar loop serve two targets.  The loop
+evaluates the text as it reads it, given what a leaf x_i is worth and
+how two values multiply: parse_expression builds trees with them, for
+callers that need trees (identity checks on structure algebras), and
+algebra.parse_element multiplies normal forms, so the CLI builds no tree.
+
 Blanks separate tokens, and comments run from '#' to the end of the
 line.  Digits are Unicode decimal digits (the characters int() reads,
 such as '3' or its Arabic-Indic form '٣'); other digit-like characters
@@ -19,6 +25,7 @@ right after an 'x', "unexpected character" anywhere else.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 
@@ -37,8 +44,9 @@ class Leaf(NATerm):
     index: int
 
     def __post_init__(self):
-        if self.index < 1:
-            raise BadIndex(f"bad generator index {self.index}")
+        i = self.index
+        if not isinstance(i, int) or isinstance(i, bool) or i < 1:
+            raise BadIndex(f"bad generator index {i!r}")
 
 
 @dataclass(frozen=True)
@@ -195,126 +203,127 @@ def _position(text: str, offset: int) -> tuple:
 
 
 def _tokenize(text: str) -> list:
-    """The (text, offset) pair of each token, left to right."""
-    tokens = []
-    for m in _LEXEME.finditer(text):
-        if m.lastindex == 1:
-            tokens.append((m[1], m.start()))
-        elif m.lastindex:
-            bad = m[2]
-            message = "expected digits after 'x'" if bad == "x" else f"unexpected character {bad!r}"
-            raise ParseError(message, *_position(text, m.start()))
-    return tokens
+    """The text of each token, left to right.  Offsets are found again
+    only for an error message (_offset), so the scan stays in the regex
+    engine."""
+    return [tok or _refuse(text) for tok, bad in _LEXEME.findall(text) if tok or bad]
 
 
-class _Parser:
-    """Parses tokens into {tree: coefficient} dicts.  The last token is
-    (None, offset just past the input's last real token)."""
-
-    def __init__(self, text: str, tokens: list, field: Field):
-        self.text = text
-        self.tokens = tokens
-        self.pos = 0
-        self.field = field
-
-    def peek(self):
-        """Text of the next token; None at the end of the input."""
-        return self.tokens[self.pos][0]
-
-    def fail(self, message, error=ParseError):
-        """Raise error at the next token."""
-        tok, offset = self.tokens[self.pos]
-        if tok is None:
-            message += " (at end of input)"
-        raise error(message, *_position(self.text, offset))
-
-    def parse_poly(self) -> dict:
-        """Parse a poly; each '(' pushes the enclosing poly on a stack.
-
-        A stack entry is (terms of the sum so far, coefficient of the open
-        term, its first factor or None).  Each sum accumulates into one
-        dict, so a long sum parses in linear time.
-        """
-        field = self.field
-        stack = []
-        result, coeff, first = {}, self.parse_coeff(), None
-        while True:
-            tok = self.peek()
-            if tok == "(":
-                self.pos += 1
-                stack.append((result, coeff, first))
-                result, coeff, first = {}, self.parse_coeff(), None
-                continue
-            if tok is None:
-                self.fail("expected a factor")
-            if tok[0] != "x":
-                self.fail(f"expected a factor, got {tok!r}")
-            index = int(tok[1:])
-            if index < 1:
-                self.fail(f"bad generator index in {tok!r}", BadIndex)
-            self.pos += 1
-            value = {Leaf(index): field.one}
-            # value is a complete factor: close terms and polys until
-            # another factor is due
-            while True:
-                if first is None and self.peek() == "*":
-                    self.pos += 1
-                    first = value
-                    break
-                if first is not None:
-                    value = _product(field, first, value)
-                    if self.peek() == "*":
-                        self.fail(
-                            "product of three or more factors needs parentheses", AmbiguousProduct
-                        )
-                if coeff:
-                    field.add_into(result, value.items(), coeff)
-                if self.peek() in ("+", "-"):
-                    coeff, first = self.parse_coeff(), None
-                    break
-                if not stack:
-                    return result
-                if self.peek() != ")":
-                    self.fail("expected ')'")
-                self.pos += 1
-                value = result
-                result, coeff, first = stack.pop()
-
-    def parse_coeff(self):
-        """The coefficient of a term: [('+' | '-')] [scalar '*']."""
-        field = self.field
-        coeff = field.one
-        sign = self.peek()
-        if sign in ("+", "-"):
-            self.pos += 1
-            if sign == "-":
-                coeff = field.neg(coeff)
-        scalar = self.peek()
-        if scalar is None or not scalar[0].isdecimal():
-            return coeff
-        self.pos += 1
-        if self.peek() == "/":
-            self.pos += 1
-            den = self.peek()
-            if den is None or not den[0].isdecimal():
-                self.fail("expected digits after '/'")
-            self.pos += 1
-            scalar = f"{scalar}/{den}"
-        coeff = field.mul(coeff, field.parse_scalar(scalar))
-        if self.peek() != "*":
-            self.fail("expected '*' after scalar")
-        self.pos += 1
-        return coeff
+def _refuse(text: str):
+    """Raise ParseError at the first character that starts no token."""
+    m = next(m for m in _LEXEME.finditer(text) if m.lastindex == 2)
+    bad = m[2]
+    message = "expected digits after 'x'" if bad == "x" else f"unexpected character {bad!r}"
+    raise ParseError(message, *_position(text, m.start()))
 
 
-def parse_expression(text: str, field: Field) -> NAPolynomial:
+def _offset(text: str, k: int) -> int:
+    """Offset of token k of text; just past the last token if there are k."""
+    end = 0
+    for n, m in enumerate(m for m in _LEXEME.finditer(text) if m.lastindex == 1):
+        if n == k:
+            return m.start()
+        end = m.end()
+    return end
+
+
+def _parse(text: str, field: Field, leaf, product) -> dict:
+    """Evaluate text as it is read.  A value is a dict from keys to nonzero
+    scalars: leaf(i) is the value of x_i, product(a, b) the value of the
+    product of two values, and sums accumulate through field.add_into.
+
+    The grammar loop keeps a stack of the polys that each '(' opens.  A
+    stack entry is (the sum so far, the coefficient of the open term, its
+    first factor or None).  Each sum accumulates into one dict, so a long
+    sum parses in linear time, and nesting never recurses.
+    """
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty expression")
-    last, offset = tokens[-1]
-    tokens.append((None, offset + len(last)))
-    parser = _Parser(text, tokens, field)
-    terms = parser.parse_poly()
-    if parser.peek() is not None:
-        parser.fail(f"unexpected trailing input {parser.peek()!r}")
+    tokens.append(None)  # the end of the input
+
+    def fail(pos, message, error=ParseError):
+        """Raise error at tokens[pos]."""
+        if tokens[pos] is None:
+            message += " (at end of input)"
+        raise error(message, *_position(text, _offset(text, pos)))
+
+    def coefficient(pos):
+        """The coefficient of the term at pos, [('+' | '-')] [scalar '*'],
+        and the position after it."""
+        coeff = field.one
+        tok = tokens[pos]
+        if tok == "+" or tok == "-":
+            pos += 1
+            if tok == "-":
+                coeff = field.neg(coeff)
+            tok = tokens[pos]
+        if tok is None or not tok[0].isdecimal():
+            return coeff, pos
+        pos += 1
+        if tokens[pos] == "/":
+            den = tokens[pos + 1]
+            if den is None or not den[0].isdecimal():
+                fail(pos + 1, "expected digits after '/'")
+            pos += 2
+            tok = f"{tok}/{den}"
+        coeff = field.mul(coeff, field.parse_scalar(tok))
+        if tokens[pos] != "*":
+            fail(pos, "expected '*' after scalar")
+        return coeff, pos + 1
+
+    add_into = field.add_into
+    stack = []
+    result, first = {}, None
+    coeff, pos = coefficient(0)
+    while True:
+        tok = tokens[pos]
+        if tok == "(":
+            stack.append((result, coeff, first))
+            result, first = {}, None
+            coeff, pos = coefficient(pos + 1)
+            continue
+        if tok is None:
+            fail(pos, "expected a factor")
+        if tok[0] != "x":
+            fail(pos, f"expected a factor, got {tok!r}")
+        index = int(tok[1:])
+        if index < 1:
+            fail(pos, f"bad generator index in {tok!r}", BadIndex)
+        value = leaf(index)
+        pos += 1
+        tok = tokens[pos]
+        # value is a complete factor: close terms and polys until another
+        # factor is due
+        while True:
+            if first is None and tok == "*":
+                pos += 1
+                first = value
+                break
+            if first is not None:
+                if tok == "*":
+                    fail(pos, "product of three or more factors needs parentheses", AmbiguousProduct)
+                value = product(first, value)
+            if coeff:
+                add_into(result, value.items(), coeff)
+            if tok == "+" or tok == "-":
+                coeff, pos = coefficient(pos)
+                first = None
+                break
+            if not stack:
+                if tok is not None:
+                    fail(pos, f"unexpected trailing input {tok!r}")
+                return result
+            if tok != ")":
+                fail(pos, "expected ')'")
+            pos += 1
+            tok = tokens[pos]
+            value = result
+            result, coeff, first = stack.pop()
+
+
+def parse_expression(text: str, field: Field) -> NAPolynomial:
+    """The formal combination of trees that text spells."""
+    one = field.one
+    terms = _parse(text, field, lambda i: {Leaf(i): one}, functools.partial(_product, field))
     return NAPolynomial(field, terms)

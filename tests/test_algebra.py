@@ -7,6 +7,7 @@ bracketed word collapses to a single monomial with coefficient one.
 """
 
 import random
+import re
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
 from math import comb
@@ -22,6 +23,7 @@ from bicomm.algebra import (
     multilinear_dimension,
     normalize,
     normalize_term,
+    parse_element,
 )
 from bicomm.errors import BadElement, DivisionByZero, InvalidIndexMap
 from bicomm.monomials import Monomial, parse_monomial as pm
@@ -471,3 +473,98 @@ def test_element_str_and_hash():
     assert str(BicommElement.zero(QQ)) == "0"
     copy = element(QQ, lin={1: -1, 2: 1}, quad=[("y2*z1", -1), ("y1*z2", 1)])
     assert hash(e) == hash(copy) and e == copy
+
+
+def test_generator_indices_are_ints_that_are_no_bools():
+    for bad in (1.5, True, False, "3", 0, -1, None):
+        with pytest.raises(BadElement):
+            BicommElement.generator(QQ, bad)
+        with pytest.raises(BadElement):
+            BicommElement(QQ, {bad: 1})
+    # a key is checked even when its coefficient is zero
+    with pytest.raises(BadElement):
+        BicommElement(F3, {"3": 3})
+    for field in (QQ, F2, F3):
+        g = BicommElement.generator(field, 70)
+        assert g == BicommElement(field, {70: 1}) and str(g) == "x70"
+        assert g.quad == Poly.zero(field) and g.lin == {70: field.one}
+
+
+def _factor(t):
+    return print_term(t) if isinstance(t, Leaf) else f"({print_term(t)})"
+
+
+def _sum_text(draw, field, depth):
+    """A bracketed sum over field: printed trees, and nested sums in
+    parentheses alone or times a tree or another such sum, with integer, a/b and zero scalars (every
+    multiple of p is zero over F_p).  A tree drawn with cancel=True is
+    followed by its left- or right-commutativity twin with the opposite
+    sign, so the two normal forms cancel."""
+    dens = [1, 2, 5] if field.is_rationals else [1, 5, 7]
+    parts = []
+    for k in range(draw(st.integers(1, 3))):
+        num, den = draw(st.integers(0, 6)), draw(st.sampled_from(dens))
+        scalar = draw(st.sampled_from(["", f"{num}*", f"{num}/{den}*"]))
+        sign = draw(st.sampled_from(["+ ", "- "] if k else ["", "-"]))
+        t = draw(_trees)
+        if depth and draw(st.booleans()):
+            inner = f"({_sum_text(draw, field, depth - 1)})"
+            other = draw(st.sampled_from(["", _factor(t), "sum"]))
+            if other == "sum":
+                other = f"({_sum_text(draw, field, depth - 1)})"
+            body = draw(st.sampled_from([f"{inner}*{other}", f"{other}*{inner}"])) if other else inner
+            parts.append(f"{sign}{scalar}{body}")
+            continue
+        parts.append(f"{sign}{scalar}{print_term(t)}")
+        if draw(st.booleans()):
+            other = "+ " if sign.startswith("-") else "- "
+            parts.append(f"{other}{scalar}{print_term(_twin(t))}")
+    return " ".join(parts)
+
+
+def _outcome(parse, text, field):
+    try:
+        value = parse(text, field)
+    except Exception as e:  # noqa: BLE001 -- every error must match
+        return type(e), str(e), getattr(e, "line", None), getattr(e, "column", None)
+    return value, str(value)
+
+
+def _through_trees(text, field):
+    return normalize(parse_expression(text, field))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_parse_element_is_normalize_of_the_parsed_trees(data):
+    field = data.draw(_fields)
+    text = _sum_text(data.draw, field, 2)
+    got, want = parse_element(text, field), _through_trees(text, field)
+    assert got == want and str(got) == str(want), text
+    assert got.quad.is_mixed_only and all(got.quad.terms.values()) and all(got.lin.values())
+
+
+# tokens that a mutation may insert: the big index cannot be packed, so it
+# runs parse_element through the trees
+_INSERTS = ["x1", "x0", "x2000000", "x", "(", ")", "*", "+", "-", "/", "0", "3", "#", "\u00b2"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_parse_element_fails_like_the_trees_on_mutated_text(data):
+    """A token dropped, inserted or swapped: the same error class, message
+    and position on both paths, or equal results."""
+    field = data.draw(_fields)
+    tokens = re.findall(r"x\d+|\d+|[-+*/()]", _sum_text(data.draw, field, 2))
+    for _ in range(data.draw(st.integers(1, 3))):
+        k = data.draw(st.integers(0, len(tokens)))
+        edit = data.draw(st.sampled_from(["drop", "insert", "swap"]))
+        if edit == "drop" and k < len(tokens):
+            del tokens[k]
+        elif edit == "insert":
+            tokens.insert(k, data.draw(st.sampled_from(_INSERTS)))
+        elif k + 1 < len(tokens):
+            tokens[k], tokens[k + 1] = tokens[k + 1], tokens[k]
+    text = " ".join(tokens)
+    got = _outcome(parse_element, text, field)
+    assert got == _outcome(_through_trees, text, field), text

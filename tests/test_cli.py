@@ -453,3 +453,17 @@ def test_integral_rationals_print_as_their_fraction_forms(tmp_path, monkeypatch,
     assert outputs[Field] == outputs[_FractionRationals]
     codes = [code for code, _, _ in outputs[Field]]
     assert {0, 1} <= set(codes)
+
+
+def test_indices_too_large_to_pack_behave_as_the_trees_do(capsys):
+    """An index above 2^20 cannot be packed, so these inputs run through the
+    trees: a lone leaf prints, trees that cancel print 0, a product exits 3,
+    and a later syntax error wins over the index."""
+    assert run(capsys, "normalize", "x2000000") == (0, "x2000000\n", "")
+    assert run(capsys, "normalize", "x2000000*x1 - x2000000*x1") == (0, "0\n", "")
+    assert run(capsys, "normalize", "x2000000*x1") == (
+        3, "", "error: variable index must be at most 2^20, got 2000000\n"
+    )
+    assert run(capsys, "normalize", "x2000000*x1 + )") == (
+        3, "", "error: expected a factor, got ')' (line 1, column 15)\n"
+    )

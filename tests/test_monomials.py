@@ -272,3 +272,13 @@ def test_huge_indices_stay_sparse(capsys):
     assert time.process_time() - start < 5
     assert peak < 32 * 2**20
     assert (code, capsys.readouterr().out) == (0, "y100000*z1 + y99999*z2\n")
+
+
+def test_indices_and_exponents_are_ints_that_are_no_bools():
+    """The constructor refuses what int() would coerce."""
+    for ys in ([(1.5, 1)], [("2", 1)], [(True, 1)], [(2, 1.0)], [(2, "1")], [(2, True)]):
+        with pytest.raises(ValueError):
+            Monomial(ys, [(2, 1)])
+        with pytest.raises(ValueError):
+            Monomial([(2, 1)], ys)
+    assert Monomial([(2, 1)], [(2, 1)]) == parse_monomial("y2*z2")

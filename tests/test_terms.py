@@ -402,3 +402,9 @@ def test_the_regex_scan_parses_like_the_character_scanner():
             errors += isinstance(got[0], type)
         # the corpus exercises both outcomes
         assert 0.2 * len(corpus) < errors < 0.8 * len(corpus)
+
+
+def test_leaf_indices_are_ints_that_are_no_bools():
+    for index in (1.5, True, "2", 2.0, None):
+        with pytest.raises(BadIndex):
+            Leaf(index)
