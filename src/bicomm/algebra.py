@@ -56,6 +56,8 @@ class BicommElement:
         for i in lin:
             _check_index(i)
         self.lin = {i: v for i, c in lin.items() if (v := field.canonical(c))}
+        if quad is not None and not isinstance(quad, Poly):
+            raise BadElement(f"quadratic part must be a Poly, got {quad!r}")
         self.quad = quad if quad is not None else Poly.zero(field)
         if self.quad.field != field:
             raise FieldMismatch("quadratic part uses a different field")

@@ -26,7 +26,7 @@ import math
 from . import monomials
 from .algebra import BicommElement
 from .errors import BadChain, UnsupportedGenerator
-from .linalg import Echelon
+from .linalg import Echelon, integral, primitive
 from .monomials import Monomial, _monomial, _new, y_variable, z_variable
 from .polynomials import Poly, _poly
 from .scalars import Field
@@ -34,29 +34,20 @@ from .scalars import Field
 
 def _integral(p: Poly):
     """(terms, d): p as a dict of integer coefficients over a common
-    denominator d; over a prime field the residues themselves, with d = 1."""
-    if p.field.characteristic:
-        return dict(p.terms), 1
-    d = math.lcm(*(c.denominator for c in p.terms.values()))
-    return {m: c.numerator * (d // c.denominator) for m, c in p.terms.items()}, d
+    denominator d (see linalg.integral)."""
+    return integral(p.terms, p.field.characteristic)
 
 
 def _row(pairs, p: int):
     """Integer form of a nonzero polynomial given as (monomial, integer)
-    pairs, greatest first: (lead monomial, lead coefficient, tail pairs).
-
-    Over the rationals (p = 0) the coefficients become coprime with a
-    positive lead; over F_p they become monic residues.  Polynomials that
-    are scalar multiples of each other get equal forms.
+    pairs, greatest first: (lead monomial, lead coefficient, tail pairs),
+    scaled by linalg.primitive, which Echelon rows share: coprime with a
+    positive lead over the rationals (p = 0), monic residues over F_p.
+    Polynomials that are scalar multiples of each other get equal forms.
     """
-    lm, lc = pairs[0]
-    if p:
-        inv = pow(lc, p - 2, p)
-        return lm, 1, tuple((m, c * inv % p) for m, c in pairs[1:])
-    g = math.gcd(*(c for _, c in pairs))
-    if lc < 0:
-        g = -g
-    return lm, lc // g, tuple((m, c // g) for m, c in pairs[1:])
+    row = primitive(pairs[0][1], pairs, p)
+    lm, lc = row[0]
+    return lm, lc, tuple(row[1:])
 
 
 def _poly_row(d: Poly):

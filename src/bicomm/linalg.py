@@ -1,58 +1,125 @@
 """Exact row reduction over a Field, with dependency tracking.
 
 Vectors are sparse dicts mapping hashable keys to nonzero scalars.  Every
-row operation accumulates through Field.add_into, which deletes the keys
-that cancel, so no zero is ever stored.  A new row's pivot is its greatest
-key, under sort_key when one is given.  An Echelon keeps a fully
-interreduced monic row basis of the span of the vectors inserted so far.
-Each row remembers a combination expressing it in terms of the inserted
-vectors (by caller-chosen labels), which gives dependency certificates and
-membership coefficients for free.
+sum of rows accumulates through Field.add_into, which deletes the keys
+that cancel, so no zero is ever stored.  A new row's pivot is its
+greatest key, under sort_key when one is given.  An Echelon keeps a
+fully interreduced basis of the span of the vectors inserted so far, one
+row per pivot.  No row has an entry at another row's pivot, so reducing
+a vector visits only the pivots it holds.
+
+Rows are fraction-free (Bareiss): in the form of primitive, coprime
+integers with a positive pivot entry over the rationals and monic
+residues over F_p, as the Groebner rows of ideals are.  A row is divided
+by its pivot entry only when it is read (rows, express).  Once a
+labelled vector comes in, each row also keeps the combination of
+labelled vectors that gives its monic form, which yields dependency
+certificates and membership coefficients for free.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd, lcm
+from operator import attrgetter
+
 from .scalars import Field
+
+
+_denominator = attrgetter("denominator")
+
+
+def integral(vec: dict, p: int):
+    """(ints, d): the nonzero entries of vec as integers over a common
+    denominator d; over F_p (p > 0) the residues themselves, with d = 1."""
+    if p:
+        return {k: c for k, c in vec.items() if c}, 1
+    d = lcm(*map(_denominator, vec.values()))
+    if d == 1:
+        return {k: c.numerator for k, c in vec.items() if c}, 1
+    return {k: c.numerator * (d // c.denominator) for k, c in vec.items() if c}, d
+
+
+def primitive(lead: int, pairs, p: int) -> list:
+    """The (key, integer) pairs of a nonzero vector whose pivot entry is
+    lead, scaled to their canonical form: over the rationals (p = 0)
+    coprime with a positive lead, over F_p monic residues.  Vectors that
+    are scalar multiples of each other get equal forms.  pairs is read
+    twice."""
+    if p:
+        inv = pow(lead, p - 2, p)
+        return [(k, c * inv % p) for k, c in pairs]
+    g = gcd(*(c for _, c in pairs))
+    if lead < 0:
+        g = -g
+    if g == 1:
+        return list(pairs)
+    return [(k, c // g) for k, c in pairs]
 
 
 class Echelon:
     """Tracked reduced row echelon form of a growing set of sparse vectors."""
 
-    __slots__ = ("field", "sort_key", "rows")
+    __slots__ = ("field", "sort_key", "_rows", "_combos")
 
     def __init__(self, field: Field, sort_key=None):
         self.field = field
         self.sort_key = sort_key
-        # rows: list of (pivot, vector, combo); vector is monic at pivot,
-        # combo maps inserted labels to scalars with vector = sum of
-        # combo[l] * (inserted vector labelled l).
-        self.rows = []
+        # pivot -> row in the form of primitive, in the order rows were made
+        self._rows = {}
+        # pivot -> combination, once a labelled vector came in: the monic
+        # row equals the sum of combo[l] * (inserted vector labelled l)
+        self._combos = None
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
 
     def pivots(self):
-        return [p for p, _, _ in self.rows]
+        return list(self._rows)
 
-    def _reduce(self, vec: dict):
-        """Eliminate all pivots from vec.
+    @property
+    def rows(self) -> list:
+        """(pivot, monic vector, combination) per row, in the order the
+        rows were made; fresh dicts, built on every read."""
+        combos = self._combos or {}
+        out = []
+        for pivot, row in self._rows.items():
+            lead = row[pivot]
+            vec = dict(row) if lead == 1 else {k: Fraction(c, lead) for k, c in row.items()}
+            out.append((pivot, vec, dict(combos.get(pivot, {}))))
+        return out
 
-        Returns (residual, used) with vec = residual + combination whose
-        label expansion is `used`.  A single pass suffices because rows
-        are kept fully interreduced.
-        """
-        f = self.field
-        add_into, neg = f.add_into, f.neg
-        vec = {k: c for k, c in vec.items() if c}
+    def _residual(self, vec: dict):
+        """(work, scale): vec less its components along the rows, times
+        scale.  Over the rationals work holds integers and scale is a
+        positive int; over F_p scale is 1."""
+        add_into = self.field.add_into
+        rows = self._rows
+        work, scale = integral(vec, self.field.characteristic)
+        for pivot in [k for k in work if k in rows]:
+            row = rows[pivot]
+            a, lc = work[pivot], row[pivot]
+            if lc != 1:
+                g = gcd(a, lc)
+                if g != lc:
+                    f = lc // g
+                    for k in work:
+                        work[k] *= f
+                    scale *= f
+                a //= g
+            add_into(work, row.items(), -a)
+        return work, scale
+
+    def _used(self, vec: dict) -> dict:
+        """Coefficients over labels of vec's components along the rows:
+        the sum of vec[pivot] times the combination of each pivot's row."""
         used = {}
-        for pivot, row, combo in self.rows:
-            c = vec.get(pivot)
-            if not c:
-                continue
-            add_into(vec, row.items(), neg(c))
-            add_into(used, combo.items(), c)
-        return vec, used
+        combos = self._combos or {}
+        for k, c in vec.items():
+            if c and k in combos:
+                self.field.add_into(used, combos[k].items(), c)
+        return used
 
     def insert(self, vec: dict, label=None):
         """Add a vector to the span.
@@ -61,33 +128,52 @@ class Echelon:
         earlier labels expressing vec inside the previous span.
         """
         f = self.field
-        residual, used = self._reduce(vec)
-        if not residual:
-            return used
-        pivot = max(residual, key=self.sort_key)
-        lead = residual[pivot]
-        inv = f.inv(lead)
-        row = {k: f.mul(inv, c) for k, c in residual.items()}
-        combo = {label: inv} if label is not None else {}
-        f.add_into(combo, used.items(), f.neg(inv))
-        # keep earlier rows clear of the new pivot
-        for p_old, row_old, combo_old in self.rows:
+        p = f.characteristic
+        rows = self._rows
+        if label is not None and self._combos is None:
+            self._combos = {pivot: {} for pivot in rows}
+        combos = self._combos
+        work, scale = self._residual(vec)
+        if not work:
+            return self._used(vec)
+        pivot = max(work, key=self.sort_key)
+        lc = work[pivot]
+        row = dict(primitive(lc, work.items(), p))
+        if combos is not None:
+            # the monic row is work / lc, and work is scale times vec less
+            # its components along the rows
+            inv = f.inv(lc) if p else Fraction(scale, lc)
+            combo = {label: inv} if label is not None else {}
+            f.add_into(combo, self._used(vec).items(), -inv)
+        # keep earlier rows clear of the new pivot; lead is 1 over F_p
+        lead = row[pivot]
+        for p_old, row_old in rows.items():
             c = row_old.get(pivot)
-            if not c:
+            if c is None:
                 continue
-            c = f.neg(c)
-            f.add_into(row_old, row.items(), c)
-            f.add_into(combo_old, combo.items(), c)
-        self.rows.append((pivot, row, combo))
+            if combos is not None:
+                lc_old = row_old[p_old]
+                f.add_into(combos[p_old], combo.items(), -c if lc_old == 1 else -Fraction(c, lc_old))
+            g = gcd(c, lead)
+            if g != lead:
+                for k in row_old:
+                    row_old[k] *= lead // g
+            f.add_into(row_old, row.items(), -(c // g))
+            if not p and (g := gcd(*row_old.values())) != 1:
+                for k in row_old:
+                    row_old[k] //= g
+        rows[pivot] = row
+        if combos is not None:
+            combos[pivot] = combo
         return None
 
     def express(self, vec: dict):
         """Coefficients over inserted labels with vec = sum c_l v_l, or None."""
-        residual, used = self._reduce(vec)
-        if residual:
+        work, _ = self._residual(vec)
+        if work:
             return None
-        return used
+        return self._used(vec)
 
     def contains(self, vec: dict) -> bool:
-        residual, _ = self._reduce(vec)
-        return not residual
+        work, _ = self._residual(vec)
+        return not work

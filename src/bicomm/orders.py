@@ -18,7 +18,7 @@ together.
 from __future__ import annotations
 
 from .errors import NoWeight
-from .monomials import Monomial
+from .monomials import _FIELD, _WIDTH, Monomial
 
 
 def weight_key(m: Monomial) -> Monomial:
@@ -57,23 +57,25 @@ def higman_embedding(a: Monomial, b: Monomial):
     takes the smallest admissible target index at or beyond the cursor
     whose pair dominates it componentwise.  A standard exchange argument
     shows the greedy map succeeds whenever any embedding exists.  Returns
-    the map on every scanned position as a dict.
+    the map on every scanned position as a dict.  The pairs are read off
+    the packed ints (see monomials).
     """
-    m = a.max_index
+    (ay, az), (by, bz) = a, b
     top = b.max_index
-    ay, az = dict(a.ys), dict(a.zs)
-    by, bz = dict(b.ys), dict(b.zs)
     phi = {}
     cursor = 1
-    for i in range(1, m + 1):
-        need_y, need_z = ay.get(i, 0), az.get(i, 0)
+    for i in range(1, a.max_index + 1):
+        shift = _WIDTH * (i - 1)
+        need_y, need_z = ay >> shift & _FIELD, az >> shift & _FIELD
         if not need_y and not need_z:
             phi[i] = cursor
             cursor += 1
             continue
         t = cursor
-        while t <= top and not (need_y <= by.get(t, 0) and need_z <= bz.get(t, 0)):
+        shift = _WIDTH * (t - 1)
+        while t <= top and (need_y > by >> shift & _FIELD or need_z > bz >> shift & _FIELD):
             t += 1
+            shift += _WIDTH
         if t > top:
             return None
         phi[i] = t
@@ -101,11 +103,23 @@ def minimal_antichain(monomials) -> list:
     """Embedding-minimal elements of the input, duplicates removed.
 
     The result is sorted ascending in the weight order so that repeated
-    runs produce identical output.
+    runs produce identical output.  One ascending pass keeps m unless an
+    element kept before it embeds into it.
+
+    This is exact because a embeds into b only when a <= b in the weight
+    order.  The embedding phi is strictly increasing, so phi(i) >= i,
+    and once phi(t) > t, phi(i) > i for every i >= t.  If phi moves the
+    highest index t of a's y-support, relabeling raises the top field of
+    Y, so Y(a) < Y(phi(a)); otherwise phi fixes that support and
+    Y(phi(a)) = Y(a).  As b dominates phi(a) fieldwise,
+    Y(phi(a)) <= Y(b); when Y(a) = Y(b) both steps are equalities, and
+    the same argument on Z gives Z(a) <= Z(b).  So every element that
+    embeds into m and differs from it comes earlier in the pass, and it
+    is either kept or has a kept element embedding into it, which then
+    embeds into m too.
     """
-    unique = sorted(set(monomials))
     out = []
-    for m in unique:
-        if not any(other != m and higman_leq(other, m) for other in unique):
+    for m in sorted(set(monomials)):
+        if not any(higman_leq(k, m) for k in out):
             out.append(m)
     return out

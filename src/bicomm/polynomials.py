@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from .errors import BadElement
 from .monomials import ONE, Monomial, check_index_map
 from .orders import weight_key
 from .scalars import Field
@@ -10,7 +11,9 @@ from .scalars import Field
 class Poly:
     """A polynomial in K[Y, Z], stored as a dict Monomial -> coefficient.
 
-    Zero coefficients are never stored: the constructor drops them, and
+    The constructor accepts only Monomial keys and canonical coefficients
+    (Field.canonical), and raises BadElement otherwise.  Zero
+    coefficients are never stored: the constructor drops them, and
     every sum accumulates through Field.add_into.  Instances are treated as
     immutable by convention: all operations return new polynomials, and
     the leading term and the hash are cached on first use.  Copies and
@@ -22,7 +25,11 @@ class Poly:
 
     def __init__(self, field: Field, terms=None):
         self.field = field
-        self.terms = {m: v for m, c in dict(terms or ()).items() if (v := field.canonical(c))}
+        terms = dict(terms or ())
+        for m in terms:
+            if not isinstance(m, Monomial):
+                raise BadElement(f"polynomial term key must be a Monomial, got {m!r}")
+        self.terms = {m: v for m, c in terms.items() if (v := field.canonical(c))}
         self._lead = None
         self._hash = None
 

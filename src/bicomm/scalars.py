@@ -102,7 +102,21 @@ class Field:
         the same int/Fraction types over Q."""
         get, pop = acc.get, acc.pop
         p = self.characteristic
-        if p:
+        if type(coeff) is int and coeff == 1:
+            # 1 * c is c, of the same type: sum without the products
+            if p:
+                for key, c in pairs:
+                    if v := (get(key, 0) + c) % p:
+                        acc[key] = v
+                    else:
+                        pop(key, None)
+            else:
+                for key, c in pairs:
+                    if v := get(key, 0) + c:
+                        acc[key] = v
+                    else:
+                        pop(key, None)
+        elif p:
             for key, c in pairs:
                 if v := (get(key, 0) + coeff * c) % p:
                     acc[key] = v

@@ -27,7 +27,8 @@ import operator
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .algebra import BicommElement
+from . import monomials
+from .algebra import BicommElement, _element
 from .errors import (
     BadElement,
     NotDominated,
@@ -36,7 +37,7 @@ from .errors import (
     WrongCharacteristic,
 )
 from .linalg import Echelon
-from .monomials import ONE, Monomial, y_variable, z_variable
+from .monomials import _FIELD, _WIDTH, ONE, Monomial, _monomial, _unpack, y_variable, z_variable
 from .orders import higman_embedding, higman_leq, minimal_antichain, weight_of
 from .polynomials import Poly, _poly, add_products
 from .scalars import Field
@@ -360,28 +361,62 @@ def lift_weight(f: BicommElement, target: Monomial) -> BicommElement:
     then target and the leading coefficient that of f.  A linear term x_i
     of f, though, becomes z_i q or y_i q (relabeled), which can outrank
     target; then UnsupportedGenerator is raised, naming that term.
+
+    The work runs on packed ints: the embedding is extended to f's
+    indices, read off one OR of its monomials, and each term moves its
+    32-bit fields and adds q.  Relabeling and shifting are injective, and
+    a linear term lands on y_j q or z_j q, which is no shifted mixed term,
+    so no two terms meet.  A guard bit set in a term raises ValueError,
+    as a product of Monomials does.
     """
     wt, _ = weight_of(f)
     phi = higman_embedding(wt, target)
     if phi is None:
         raise NotDominated(f"{wt} does not embed into {target}")
+    quad = f.quad.terms
+    bits = 0
+    for y, z in quad:
+        bits |= y | z
     total = {}
     prev = 0
-    for i in sorted(f.indices()):
-        value = phi.get(i)
-        if value is None:
-            value = prev + 1
+    for i in sorted({i for i, _ in _unpack(bits)}.union(f.lin)):
+        value = phi.get(i, prev + 1)
         if value <= prev:
             raise AssertionError("embedding extension failed to increase")
-        total[i] = value
-        prev = value
-    h = f.apply_index_map(total)
-    mapped_wt = wt.apply_index_map({i: phi[i] for i in range(1, wt.max_index + 1)})
-    q = target.div(mapped_wt)
-    if q.ys:
-        h = BicommElement.from_quad(h.s_poly().mul_monomial(q))
-    elif q.zs:
-        h = BicommElement.from_quad(h.t_poly().mul_monomial(q))
+        total[i] = prev = value
+    # the fields that move, cleared from a packed int and set at their image
+    moves = [(_WIDTH * (i - 1), _WIDTH * (j - 1)) for i, j in total.items() if i != j]
+    keep = ~sum(_FIELD << s for s, _ in moves)
+
+    def relabel(v: int) -> int:
+        out = v & keep
+        for s, d in moves:
+            out |= (v >> s & _FIELD) << d
+        return out
+
+    q = target.div(_monomial(relabel(wt[0]), relabel(wt[1])))
+    qy, qz = q
+    lin, terms, bits = {}, {}, 0
+    if qy or qz:
+        for i, c in f.lin.items():
+            unit = 1 << _WIDTH * (total[i] - 1)
+            y, z = (qy, qz + unit) if qy else (unit, qz)
+            bits |= y | z
+            terms[_monomial(y, z)] = c
+    else:
+        lin = {total[i]: c for i, c in f.lin.items()}
+    for (y, z), c in quad.items():
+        y, z = relabel(y) + qy, relabel(z) + qz
+        bits |= y | z
+        terms[_monomial(y, z)] = c
+    nbits = bits.bit_length()
+    if nbits > monomials._guard_bits:  # relabeled past the indices seen so far
+        if nbits > _WIDTH * monomials._MAX_INDEX:
+            raise ValueError(f"variable index must be at most 2^20, got {-(-nbits // _WIDTH)}")
+        monomials._cover(nbits)
+    if bits & monomials._guard:
+        raise ValueError(f"exponent of {q} times a term of the relabeled generator must stay below 2^31")
+    h = _element(f.field, lin, _poly(f.field, terms))
     w = weight_of(h)[0]
     if w != target:
         # only the image of a linear term can outrank target

@@ -195,3 +195,28 @@ def test_minimal_antichain():
             if m != other:
                 assert not higman_leq(m, other)
     assert pm("y1*z1^2") not in out
+
+
+def _antichain_by_all_pairs(monomials) -> list:
+    """The former quadratic pass: m is kept unless another element of the
+    input embeds into it."""
+    unique = sorted(set(monomials))
+    return [m for m in unique if not any(o != m and higman_leq(o, m) for o in unique)]
+
+
+def test_minimal_antichain_matches_the_all_pairs_oracle():
+    rng = random.Random(SEED + 7)
+    for _ in range(3000):
+        mons = [random_mixed_monomial(rng, rng.randint(1, 4), rng.randint(2, 5))
+                for _ in range(rng.randint(0, 12))]
+        assert minimal_antichain(mons) == _antichain_by_all_pairs(mons)
+
+
+def test_an_embedding_implies_the_weight_order():
+    """The fact that lets minimal_antichain make one ascending pass."""
+    rng = random.Random(SEED + 8)
+    for _ in range(20000):
+        a = random_mixed_monomial(rng, rng.randint(1, 4), rng.randint(2, 5))
+        b = random_mixed_monomial(rng, rng.randint(1, 5), rng.randint(2, 7))
+        if higman_leq(a, b):
+            assert a <= b

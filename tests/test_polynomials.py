@@ -4,7 +4,10 @@ import copy
 import pickle
 import random
 
+import pytest
+
 from bicomm.algebra import BicommElement
+from bicomm.errors import BadElement
 from bicomm.monomials import Monomial, parse_monomial as pm
 from bicomm.orders import weight_key
 from bicomm.polynomials import Poly, _poly as trusted_poly
@@ -172,3 +175,17 @@ def test_copies_and_pickles_rebuild_without_the_cached_hash():
     for copied in _copies(e):
         assert type(copied) is BicommElement and copied == e and hash(copied) == hash(e)
         assert str(copied) == str(e) and copied.lin is not e.lin
+
+
+def test_public_constructors_refuse_keys_that_are_no_monomials():
+    """Poly keys must be Monomials and a quadratic part must be a Poly;
+    BadElement is raised instead of an AttributeError later on."""
+    m = Monomial([(1, 1)], [(1, 1)])
+    for key in ("y1", (1, 2), (4294967297, 1), 3, None):
+        with pytest.raises(BadElement, match="must be a Monomial"):
+            Poly(QQ, {key: 1})
+    for quad in ({m: 1}, [(m, 1)], m, 0):
+        with pytest.raises(BadElement, match="must be a Poly"):
+            BicommElement(QQ, {}, quad)
+    assert BicommElement(QQ, {}, Poly(QQ, {m: 1})).quad.terms == {m: 1}
+    assert BicommElement(QQ, {1: 2}, None).quad == Poly.zero(QQ)

@@ -195,3 +195,32 @@ def test_add_into_matches_the_per_term_loop():
             assert [type(v) for v in acc.values()] == [type(v) for v in want.values()]
             if trial % 7 == 0:
                 assert acc == {}
+
+
+def test_add_into_with_coefficient_one_keeps_the_types_of_the_products():
+    """coeff 1 sums c itself; a Fraction coefficient equal to 1 still
+    multiplies, so over Q every stored value has the type of
+    acc[key] + coeff * c."""
+    rng = random.Random(SEED + 1)
+    for field in (Field.rationals(), Field.prime(2), Field.prime(3)):
+        p = field.characteristic
+        for _ in range(300):
+            def scalar():
+                if p:
+                    return rng.randrange(p)
+                return rng.choice([rng.randint(-3, 3), Fraction(rng.randint(-3, 3), rng.randint(1, 3))])
+            acc = {k: v for k in range(4) if (v := scalar())}
+            pairs = [(rng.randrange(6), scalar()) for _ in range(rng.randint(0, 7))]
+            for coeff in (1, Fraction(1)) if not p else (1,):
+                want = dict(acc)
+                for key, c in pairs:
+                    v = want.get(key, 0) + coeff * c
+                    v = v % p if p else v
+                    if v:
+                        want[key] = v
+                    else:
+                        want.pop(key, None)
+                got = dict(acc)
+                field.add_into(got, iter(pairs), coeff)
+                assert got == want and list(got) == list(want)
+                assert [type(v) for v in got.values()] == [type(v) for v in want.values()]

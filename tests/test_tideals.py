@@ -326,6 +326,87 @@ def test_lift_weight_rejects_non_dominated_targets():
         lift_weight(g, parse_monomial("y1*z1^3"))
 
 
+def _lift_by_composition(f, target):
+    """Reference lift through the public, validating operations: relabel
+    with apply_index_map along the greedy embedding extended to f's
+    indices, then multiply s(h) or t(h) by the quotient with
+    mul_monomial."""
+    wt, _ = weight_of(f)
+    phi = higman_embedding(wt, target)
+    if phi is None:
+        raise NotDominated(f"{wt} does not embed into {target}")
+    total, prev = {}, 0
+    for i in sorted(f.indices()):
+        prev = total[i] = phi.get(i, prev + 1)
+    h = f.apply_index_map(total)
+    q = target.div(wt.apply_index_map({i: phi[i] for i in range(1, wt.max_index + 1)}))
+    if q.ys:
+        h = BicommElement.from_quad(h.s_poly().mul_monomial(q))
+    elif q.zs:
+        h = BicommElement.from_quad(h.t_poly().mul_monomial(q))
+    w = weight_of(h)[0]
+    if w != target:
+        k = w.div(q).max_index
+        i = next(i for i, v in total.items() if v == k)
+        raise UnsupportedGenerator(
+            f"linear term x{i} of the generator lifts to {w}, which outranks the target {target}"
+        )
+    return h
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (NotDominated, UnsupportedGenerator) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _packed_lift_cases(draw):
+    """Elements with and without linear terms, some at indices above every
+    quadratic one, and targets that wt(f) embeds into by a relabeling
+    (some spread to indices 5..8), or random mixed monomials."""
+    field = draw(st.sampled_from([QQ, F2, F3]))
+    quad = {}
+    for ys, zs, c in draw(st.lists(st.tuples(_exponents, _exponents, st.integers(-4, 4)),
+                                   min_size=1, max_size=4)):
+        quad[Monomial(ys.items(), zs.items())] = field.from_int(c) or field.one
+    lin = draw(st.dictionaries(st.integers(1, 6), st.integers(1, 4), max_size=3))
+    f = BicommElement(field, {i: field.from_int(c) for i, c in lin.items()}, Poly(field, quad))
+    wt = weight_of(f)[0]
+    kind = draw(st.sampled_from(["spread", "z only", "random"]))
+    if kind == "random":
+        return f, Monomial(draw(_exponents).items(), draw(_exponents).items())
+    image = sorted(draw(st.sets(st.integers(1, 8), min_size=wt.max_index, max_size=wt.max_index)))
+    spread = wt.apply_index_map(dict(zip(range(1, wt.max_index + 1), image)))
+    # a quotient with no y factor turns a linear term x_i into y_i q
+    ys = {} if kind == "z only" else draw(st.dictionaries(st.integers(1, 8), st.integers(0, 2), max_size=2))
+    zs = draw(st.dictionaries(st.integers(1, 8), st.integers(0, 2), max_size=2))
+    return f, spread * Monomial(ys.items(), zs.items())
+
+
+@settings(max_examples=400, deadline=None)
+@given(_packed_lift_cases())
+def test_packed_lift_weight_matches_the_composition_of_public_operations(case):
+    f, target = case
+    want = _outcome(_lift_by_composition, f, target)
+    got = _outcome(lift_weight, f, target)
+    assert got == want
+    if isinstance(got, BicommElement):
+        assert str(got) == str(want) and weight_of(got)[0] == target
+
+
+def test_lift_weight_refuses_an_exponent_past_the_guard_bit():
+    # q = y1^(2^30) lifts the weight y2*z1 to the target, and the other
+    # term y1^(2^30)*z1 to y1^(2^31)*z1, which no monomial holds
+    big = 1 << 30
+    f = BicommElement.from_quad(Poly(QQ, {Monomial([(1, big)], [(1, 1)]): 1, parse_monomial("y2*z1"): 1}))
+    target = Monomial([(1, big), (2, 1)], [(1, 1)])
+    for lift in (lift_weight, _lift_by_composition):
+        with pytest.raises(ValueError, match="2\\^31"):
+            lift(f, target)
+
+
 def test_specht_reduce_trace_and_remainder():
     g = quad_element(QQ, ("y1*y2*z2*z3", 1))
     basis = [quad_element(QQ, ("y1*z1", 1), ("y1*z2", -1))]
