@@ -33,7 +33,7 @@ from math import comb
 
 from . import monomials
 from .errors import BadElement, FieldMismatch
-from .monomials import Monomial, _monomial, check_index_map, y_variable, z_variable
+from .monomials import Monomial, _monomial, _support, check_index_map, y_variable, z_variable
 from .polynomials import Poly, _poly, add_products, format_terms
 from .scalars import Field
 from .terms import Leaf, NAPolynomial, NATerm, _parse, _symbols, parse_expression
@@ -90,10 +90,7 @@ class BicommElement:
         return 1 if self.lin else 0
 
     def indices(self) -> set:
-        out = set(self.lin)
-        for m in self.quad.terms:
-            out |= m.indices()
-        return out
+        return set(self.lin) | _support(self.quad.terms)
 
     def max_index(self) -> int:
         return max(max(self.lin, default=0), self.quad.max_index())

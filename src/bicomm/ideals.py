@@ -32,12 +32,6 @@ from .polynomials import Poly, _poly
 from .scalars import Field
 
 
-def _integral(p: Poly):
-    """(terms, d): p as a dict of integer coefficients over a common
-    denominator d (see linalg.integral)."""
-    return integral(p.terms, p.field.characteristic)
-
-
 def _row(pairs, p: int):
     """Integer form of a nonzero polynomial given as (monomial, integer)
     pairs, greatest first: (lead monomial, lead coefficient, tail pairs),
@@ -51,7 +45,7 @@ def _row(pairs, p: int):
 
 
 def _poly_row(d: Poly):
-    terms, _ = _integral(d)
+    terms, _ = integral(d.terms, d.field.characteristic)
     pairs = sorted(terms.items(), reverse=True)
     return _row(pairs, d.field.characteristic)
 
@@ -194,7 +188,7 @@ def poly_normal_form(p: Poly, basis) -> Poly:
         rows = basis._rows
     else:
         rows = [_poly_row(d) for d in basis if not d.is_zero]
-    work, d = _integral(p)
+    work, d = integral(p.terms, p.field.characteristic)
     rem, scale = _reduce(work, rows, p.field.characteristic)
     return _emit(p.field, rem, d * scale)
 
@@ -625,7 +619,7 @@ def _member(f: BicommElement, pres: TwoSidedPresentation) -> MembershipResult:
     field = pres.field
     for i, c in span.items():
         residue = residue.add_scaled(field.neg(c), pres.pi[i])
-    work, d = _integral(residue)
+    work, d = integral(residue.terms, field.characteristic)
     steps = []
     rem, _ = _reduce(work, gb._rows, field.characteristic, steps)
     if rem:

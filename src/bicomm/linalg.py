@@ -21,12 +21,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import attrgetter
 
 from .scalars import Field
-
-
-_denominator = attrgetter("denominator")
 
 
 def integral(vec: dict, p: int):
@@ -34,9 +30,7 @@ def integral(vec: dict, p: int):
     denominator d; over F_p (p > 0) the residues themselves, with d = 1."""
     if p:
         return {k: c for k, c in vec.items() if c}, 1
-    d = lcm(*map(_denominator, vec.values()))
-    if d == 1:
-        return {k: c.numerator for k, c in vec.items() if c}, 1
+    d = lcm(*(c.denominator for c in vec.values()))
     return {k: c.numerator * (d // c.denominator) for k, c in vec.items() if c}, d
 
 
@@ -52,9 +46,19 @@ def primitive(lead: int, pairs, p: int) -> list:
     g = gcd(*(c for _, c in pairs))
     if lead < 0:
         g = -g
-    if g == 1:
-        return list(pairs)
     return [(k, c // g) for k, c in pairs]
+
+
+def _cancel(vec: dict, row: dict, pivot, add_into) -> int:
+    """Scale vec by the returned factor, then subtract the multiple of
+    row that clears vec at pivot, both in integers."""
+    a, lc = vec[pivot], row[pivot]
+    g = gcd(a, lc)
+    if (f := lc // g) != 1:
+        for k in vec:
+            vec[k] *= f
+    add_into(vec, row.items(), -(a // g))
+    return f
 
 
 class Echelon:
@@ -98,17 +102,7 @@ class Echelon:
         rows = self._rows
         work, scale = integral(vec, self.field.characteristic)
         for pivot in [k for k in work if k in rows]:
-            row = rows[pivot]
-            a, lc = work[pivot], row[pivot]
-            if lc != 1:
-                g = gcd(a, lc)
-                if g != lc:
-                    f = lc // g
-                    for k in work:
-                        work[k] *= f
-                    scale *= f
-                a //= g
-            add_into(work, row.items(), -a)
+            scale *= _cancel(work, rows[pivot], pivot, add_into)
         return work, scale
 
     def _used(self, vec: dict) -> dict:
@@ -145,8 +139,7 @@ class Echelon:
             inv = f.inv(lc) if p else Fraction(scale, lc)
             combo = {label: inv} if label is not None else {}
             f.add_into(combo, self._used(vec).items(), -inv)
-        # keep earlier rows clear of the new pivot; lead is 1 over F_p
-        lead = row[pivot]
+        # keep earlier rows clear of the new pivot
         for p_old, row_old in rows.items():
             c = row_old.get(pivot)
             if c is None:
@@ -154,11 +147,7 @@ class Echelon:
             if combos is not None:
                 lc_old = row_old[p_old]
                 f.add_into(combos[p_old], combo.items(), -c if lc_old == 1 else -Fraction(c, lc_old))
-            g = gcd(c, lead)
-            if g != lead:
-                for k in row_old:
-                    row_old[k] *= lead // g
-            f.add_into(row_old, row.items(), -(c // g))
+            _cancel(row_old, row, pivot, f.add_into)
             if not p and (g := gcd(*row_old.values())) != 1:
                 for k in row_old:
                     row_old[k] //= g

@@ -30,6 +30,7 @@ unrestricted monomials serve as the ambient polynomial ring K[Y, Z].
 from __future__ import annotations
 
 import re
+import struct
 
 from .errors import InvalidIndexMap, ParseError
 
@@ -100,6 +101,54 @@ def _fieldmax(a: int, b: int) -> int:
     return b ^ ((a ^ b) & keep)
 
 
+def _exponents(v: int, n: int) -> tuple:
+    """Exponents at indices 1..n of a packed int, at tuple positions
+    0..n-1, read in one pass over its bytes."""
+    return struct.unpack(f"<{n}I", v.to_bytes(_WIDTH // 8 * n, "little"))
+
+
+def _relabeler(phi: dict):
+    """Function moving the fields of a packed int along phi, a strictly
+    increasing map of positive indices defined on every index it uses."""
+    moves = [(_WIDTH * (i - 1), _WIDTH * (j - 1)) for i, j in phi.items() if i != j]
+    keep = ~sum(_FIELD << s for s, _ in moves)
+
+    def relabel(v: int) -> int:
+        out = v & keep
+        for s, d in moves:
+            out |= (v >> s & _FIELD) << d
+        return out
+
+    return relabel
+
+
+def _support(ms) -> set:
+    """Indices at which some monomial of the iterable ms has a nonzero
+    exponent."""
+    bits = 0
+    for y, z in ms:
+        bits |= y | z
+    return {i for i, _ in _unpack(bits)}
+
+
+def _admit(ms, q: "Monomial") -> None:
+    """Check monomials that the trusted constructor built as products of
+    q and relabeled monomials: raise ValueError, in the words of the
+    public constructor and of a product, if an index passes 2^20 or an
+    exponent reaches 2^31; else widen the guard mask to cover them."""
+    bits = 0
+    for y, z in ms:
+        bits |= y | z
+    nbits = bits.bit_length()
+    if nbits > _guard_bits:
+        top = -(-nbits // _WIDTH)
+        if top > _MAX_INDEX:
+            raise ValueError(f"variable index must be at most 2^20, got {top}")
+        _cover(nbits)
+    if bits & _guard:
+        raise ValueError(f"exponent of {q} times a relabeled monomial must stay below 2^31")
+
+
 def check_index_map(phi: dict, indices) -> None:
     """Raise InvalidIndexMap unless phi is strictly increasing and defined
     on every index of the iterable indices."""
@@ -164,7 +213,7 @@ class Monomial(tuple):
         return (max(self[0].bit_length(), self[1].bit_length()) + _WIDTH - 1) // _WIDTH
 
     def indices(self) -> set:
-        return {i for i, _ in self.ys} | {i for i, _ in self.zs}
+        return _support((self,))
 
     def pair_at(self, i: int) -> tuple:
         """Exponent pair (y-exponent, z-exponent) at index i."""

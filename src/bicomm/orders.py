@@ -18,7 +18,7 @@ together.
 from __future__ import annotations
 
 from .errors import NoWeight
-from .monomials import _FIELD, _WIDTH, Monomial
+from .monomials import Monomial, _exponents
 
 
 def weight_key(m: Monomial) -> Monomial:
@@ -57,25 +57,20 @@ def higman_embedding(a: Monomial, b: Monomial):
     takes the smallest admissible target index at or beyond the cursor
     whose pair dominates it componentwise.  A standard exchange argument
     shows the greedy map succeeds whenever any embedding exists.  Returns
-    the map on every scanned position as a dict.  The pairs are read off
-    the packed ints (see monomials).
+    the map on every scanned position as a dict.
     """
-    (ay, az), (by, bz) = a, b
-    top = b.max_index
+    m, top = a.max_index, b.max_index
+    by, bz = _exponents(b[0], top), _exponents(b[1], top)
     phi = {}
     cursor = 1
-    for i in range(1, a.max_index + 1):
-        shift = _WIDTH * (i - 1)
-        need_y, need_z = ay >> shift & _FIELD, az >> shift & _FIELD
+    for i, need_y, need_z in zip(range(1, m + 1), _exponents(a[0], m), _exponents(a[1], m)):
         if not need_y and not need_z:
             phi[i] = cursor
             cursor += 1
             continue
         t = cursor
-        shift = _WIDTH * (t - 1)
-        while t <= top and (need_y > by >> shift & _FIELD or need_z > bz >> shift & _FIELD):
+        while t <= top and (need_y > by[t - 1] or need_z > bz[t - 1]):
             t += 1
-            shift += _WIDTH
         if t > top:
             return None
         phi[i] = t

@@ -27,7 +27,6 @@ import operator
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from . import monomials
 from .algebra import BicommElement, _element
 from .errors import (
     BadElement,
@@ -37,7 +36,7 @@ from .errors import (
     WrongCharacteristic,
 )
 from .linalg import Echelon
-from .monomials import _FIELD, _WIDTH, ONE, Monomial, _monomial, _unpack, y_variable, z_variable
+from .monomials import ONE, Monomial, _admit, _monomial, _relabeler, y_variable, z_variable
 from .orders import higman_embedding, higman_leq, minimal_antichain, weight_of
 from .polynomials import Poly, _poly, add_products
 from .scalars import Field
@@ -362,60 +361,35 @@ def lift_weight(f: BicommElement, target: Monomial) -> BicommElement:
     of f, though, becomes z_i q or y_i q (relabeled), which can outrank
     target; then UnsupportedGenerator is raised, naming that term.
 
-    The work runs on packed ints: the embedding is extended to f's
-    indices, read off one OR of its monomials, and each term moves its
-    32-bit fields and adds q.  Relabeling and shifting are injective, and
-    a linear term lands on y_j q or z_j q, which is no shifted mixed term,
-    so no two terms meet.  A guard bit set in a term raises ValueError,
-    as a product of Monomials does.
+    The work runs on packed ints: each term of the relabeled f moves its
+    fields and adds q.  Relabeling and shifting are injective, and a
+    linear term lands on y_j q or z_j q, which is no shifted mixed term,
+    so no two terms meet.
     """
     wt, _ = weight_of(f)
     phi = higman_embedding(wt, target)
     if phi is None:
         raise NotDominated(f"{wt} does not embed into {target}")
-    quad = f.quad.terms
-    bits = 0
-    for y, z in quad:
-        bits |= y | z
     total = {}
     prev = 0
-    for i in sorted({i for i, _ in _unpack(bits)}.union(f.lin)):
+    for i in sorted(f.indices()):
         value = phi.get(i, prev + 1)
         if value <= prev:
             raise AssertionError("embedding extension failed to increase")
         total[i] = prev = value
-    # the fields that move, cleared from a packed int and set at their image
-    moves = [(_WIDTH * (i - 1), _WIDTH * (j - 1)) for i, j in total.items() if i != j]
-    keep = ~sum(_FIELD << s for s, _ in moves)
-
-    def relabel(v: int) -> int:
-        out = v & keep
-        for s, d in moves:
-            out |= (v >> s & _FIELD) << d
-        return out
-
+    relabel = _relabeler(total)
     q = target.div(_monomial(relabel(wt[0]), relabel(wt[1])))
     qy, qz = q
-    lin, terms, bits = {}, {}, 0
-    if qy or qz:
-        for i, c in f.lin.items():
-            unit = 1 << _WIDTH * (total[i] - 1)
-            y, z = (qy, qz + unit) if qy else (unit, qz)
-            bits |= y | z
-            terms[_monomial(y, z)] = c
-    else:
+    lin, terms = {}, {}
+    if q.is_unit:
         lin = {total[i]: c for i, c in f.lin.items()}
-    for (y, z), c in quad.items():
-        y, z = relabel(y) + qy, relabel(z) + qz
-        bits |= y | z
-        terms[_monomial(y, z)] = c
-    nbits = bits.bit_length()
-    if nbits > monomials._guard_bits:  # relabeled past the indices seen so far
-        if nbits > _WIDTH * monomials._MAX_INDEX:
-            raise ValueError(f"variable index must be at most 2^20, got {-(-nbits // _WIDTH)}")
-        monomials._cover(nbits)
-    if bits & monomials._guard:
-        raise ValueError(f"exponent of {q} times a term of the relabeled generator must stay below 2^31")
+    else:
+        var = z_variable if qy else y_variable
+        for i, c in f.lin.items():
+            terms[var(total[i]) * q] = c
+    for (y, z), c in f.quad.terms.items():
+        terms[_monomial(relabel(y) + qy, relabel(z) + qz)] = c
+    _admit(terms, q)
     h = _element(f.field, lin, _poly(f.field, terms))
     w = weight_of(h)[0]
     if w != target:

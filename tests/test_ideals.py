@@ -17,7 +17,6 @@ from bicomm.ideals import (
     TwoSidedPresentation,
     _SIDES,
     _decide,
-    _integral,
     _member,
     _poly_row,
     _reduce,
@@ -31,7 +30,7 @@ from bicomm.ideals import (
     right_ideal_member,
     two_sided_member,
 )
-from bicomm.linalg import Echelon
+from bicomm.linalg import Echelon, integral
 from bicomm.monomials import Monomial, _fieldmax, _monomial, parse_monomial
 from bicomm.orders import weight_key
 from bicomm.polynomials import Poly
@@ -310,7 +309,7 @@ def test_reduce_takes_the_first_dividing_row_like_a_list_scan():
         for _ in range(25):
             leads = rng.sample(_DIVISOR_LEADS, rng.randint(3, len(_DIVISOR_LEADS)))
             rows = [_poly_row(_with_lead(rng, field, lead)) for lead in leads]
-            work = _integral(_random_poly(rng, field, terms=6, max_index=4, max_degree=6))[0]
+            work = integral(_random_poly(rng, field, terms=6, max_index=4, max_degree=6).terms, p)[0]
             want_steps = []
             want = _first_divisor_reduce(work, rows, p, want_steps)
             got_steps = []
@@ -686,7 +685,7 @@ def _pop_time_chain_buchberger(gens, field, start=None):
         if p.is_zero:
             continue
         if start is not None:
-            rem, _ = _reduce(_integral(p)[0], basis, char)
+            rem, _ = _reduce(integral(p.terms, char)[0], basis, char)
             if not rem:
                 continue
             q = _row(rem, char)

@@ -407,6 +407,17 @@ def test_lift_weight_refuses_an_exponent_past_the_guard_bit():
             lift(f, target)
 
 
+def test_lift_weight_refuses_an_index_past_the_bound():
+    # the weight y2*z1 embeds into the target at indices 2^20 - 1 and 2^20,
+    # so the other term y1*z3 relabels to y_(2^20 - 1)*z_(2^20 + 1)
+    top = 1 << 20
+    f = quad_element(QQ, ("y2*z1", 1), ("y1*z3", 1))
+    target = Monomial([(top, 1)], [(top - 1, 1)])
+    for lift in (lift_weight, _lift_by_composition):
+        with pytest.raises(ValueError, match=f"at most 2\\^20, got {top + 1}$"):
+            lift(f, target)
+
+
 def test_specht_reduce_trace_and_remainder():
     g = quad_element(QQ, ("y1*y2*z2*z3", 1))
     basis = [quad_element(QQ, ("y1*z1", 1), ("y1*z2", -1))]
