@@ -6,7 +6,10 @@ that cancel, so no zero is ever stored.  A new row's pivot is its
 greatest key, under sort_key when one is given.  An Echelon keeps a
 fully interreduced basis of the span of the vectors inserted so far, one
 row per pivot.  No row has an entry at another row's pivot, so reducing
-a vector visits only the pivots it holds.
+a vector visits only the pivots it holds.  A column index maps each key
+that is no pivot to the pivots of the rows that may hold it, so a new
+pivot is cleared from just those rows, as in the sparse elimination of
+F4; a row the index names is checked first, so nothing leaves the index.
 
 Rows are fraction-free (Bareiss): in the form of primitive, coprime
 integers with a positive pivot entry over the rationals and monic
@@ -19,6 +22,7 @@ certificates and membership coefficients for free.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -64,13 +68,15 @@ def _cancel(vec: dict, row: dict, pivot, add_into) -> int:
 class Echelon:
     """Tracked reduced row echelon form of a growing set of sparse vectors."""
 
-    __slots__ = ("field", "sort_key", "_rows", "_combos")
+    __slots__ = ("field", "sort_key", "_rows", "_cols", "_combos")
 
     def __init__(self, field: Field, sort_key=None):
         self.field = field
         self.sort_key = sort_key
         # pivot -> row in the form of primitive, in the order rows were made
         self._rows = {}
+        # key that is no pivot -> pivots of the rows that may hold it
+        self._cols = defaultdict(set)
         # pivot -> combination, once a labelled vector came in: the monic
         # row equals the sum of combo[l] * (inserted vector labelled l)
         self._combos = None
@@ -139,8 +145,13 @@ class Echelon:
             inv = f.inv(lc) if p else Fraction(scale, lc)
             combo = {label: inv} if label is not None else {}
             f.add_into(combo, self._used(vec).items(), -inv)
+        cols = self._cols
+        rest = [k for k in row if k != pivot]
+        for k in rest:
+            cols[k].add(pivot)
         # keep earlier rows clear of the new pivot
-        for p_old, row_old in rows.items():
+        for p_old in cols.pop(pivot, ()):
+            row_old = rows[p_old]
             c = row_old.get(pivot)
             if c is None:
                 continue
@@ -151,6 +162,8 @@ class Echelon:
             if not p and (g := gcd(*row_old.values())) != 1:
                 for k in row_old:
                     row_old[k] //= g
+            for k in rest:
+                cols[k].add(p_old)
         rows[pivot] = row
         if combos is not None:
             combos[pivot] = combo

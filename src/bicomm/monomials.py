@@ -107,6 +107,12 @@ def _exponents(v: int, n: int) -> tuple:
     return struct.unpack(f"<{n}I", v.to_bytes(_WIDTH // 8 * n, "little"))
 
 
+def _within(d: int, bound: int) -> bool:
+    """Whether no field of the packed int d exceeds that of bound, as in divides."""
+    e = bound - d
+    return e >= 0 and not e & _guard
+
+
 def _relabeler(phi: dict):
     """Function moving the fields of a packed int along phi, a strictly
     increasing map of positive indices defined on every index it uses."""

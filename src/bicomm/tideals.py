@@ -10,7 +10,10 @@ expansion in the c_{v,k}: the full linearization, which stays correct over
 small fields, where scaling tricks are unavailable.  Per multidegree mu
 the expansion is computed truncated, dropping terms whose multidegree
 leaves mu; each coefficient, times every monomial that fills it up to mu,
-is a row, and the rows are reduced per multidegree.
+is a row, and the rows are reduced per multidegree.  Expansions are
+keyed by packed ints: a multidegree is y + z of a monomial, and a block
+maps (c-monomial, Y, Z) to a scalar, the c-monomial an int with one bit
+field per indeterminate, so that a product adds three ints per term pair.
 
 The reduction machinery (lift_weight, specht_reduce,
 specht_basis_search) works with the narrower family obtained from
@@ -23,7 +26,6 @@ what the basis search enumerates and verifies against.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from itertools import combinations, product
 
@@ -36,9 +38,9 @@ from .errors import (
     WrongCharacteristic,
 )
 from .linalg import Echelon
-from .monomials import ONE, Monomial, _admit, _monomial, _relabeler, y_variable, z_variable
-from .orders import higman_embedding, higman_leq, minimal_antichain, weight_of
-from .polynomials import Poly, _poly, add_products
+from .monomials import ONE, Monomial, _admit, _monomial, _relabeler, _within, y_variable, z_variable
+from .orders import higman_embedding, minimal_antichain, weight_of
+from .polynomials import Poly, _poly
 from .scalars import Field
 
 
@@ -120,66 +122,56 @@ def _multidegrees(bound: tuple, max_total: int) -> list:
     return [d for d in product(*(range(b + 1) for b in bound)) if sum(d) <= max_total]
 
 
-def _iter_splits(degrees: tuple, mixed_only: bool = False):
-    """All monomials Y^a Z^b with a + b equal to degrees, a tuple over the
-    variables 1..len(degrees)."""
-    items = [(v, d) for v, d in enumerate(degrees, 1) if d]
-
-    def rec(pos, ys, zs):
-        if pos == len(items):
-            if mixed_only and (not ys or not zs):
-                return
-            yield Monomial(ys, zs)
-            return
-        v, d = items[pos]
-        for t in range(d + 1):
-            ny = ys + [(v, t)] if t else ys
-            nz = zs + [(v, d - t)] if d - t else zs
-            yield from rec(pos + 1, ny, nz)
-
-    yield from rec(0, [], [])
+def _splits(degrees, mixed_only: bool = False) -> list:
+    """All monomials Y^a Z^b with a + b equal to degrees, given as
+    (variable, degree) pairs, the y-degree of the first variable varying
+    slowest; with mixed_only, only those with a y and a z factor."""
+    splits = [(0, 0)]
+    for v, d in degrees:
+        if d:
+            unit = y_variable(v)[0]  # one y_v, packed
+            splits = [(y + t * unit, z + (d - t) * unit) for y, z in splits for t in range(d + 1)]
+    return [_monomial(y, z) for y, z in splits if not mixed_only or (y and z)]
 
 
 def _basis_monomial_options(bound: tuple) -> list:
     """Basis monomials of the free algebra with multidegree at most bound.
 
-    Returns (multidegree, t-image, s-image) triples, the multidegree a
-    tuple over the variables 1..len(bound) like bound: the generator x_v
-    maps to (y_v, z_v), a mixed monomial to (itself, itself).  Mixed
-    monomials come in ascending total degree.
+    Returns (multidegree, t-image, s-image) triples, the multidegree
+    packed as y + z of a monomial: the generator x_v maps to (y_v, z_v), a
+    mixed monomial to (itself, itself).  Mixed monomials come in ascending
+    total degree.
     """
     out = []
     for v, b in enumerate(bound, 1):
         if b:
-            unit = tuple(int(u == v) for u in range(1, len(bound) + 1))
-            out.append((unit, y_variable(v), z_variable(v)))
+            out.append((y_variable(v)[0], y_variable(v), z_variable(v)))
     for degrees in sorted(_multidegrees(bound, sum(bound)), key=sum):
-        out += [(degrees, m, m) for m in _iter_splits(degrees, mixed_only=True)]
+        out += [(m[0] + m[1], m, m) for m in _splits(enumerate(degrees, 1), mixed_only=True)]
     return out
 
 
-def _truncated_mul(field: Field, left: dict, right: dict, bound: tuple, out=None) -> dict:
+def _truncated_mul(field: Field, left: dict, right: dict, bound: int, out=None) -> dict:
     """Product of two truncated expansions, added into out when given.
 
     A truncated expansion is a polynomial in extra indeterminates c whose
     coefficients are polynomials in Y, Z, grouped by multidegree.  It maps
-    a multidegree, a tuple over the variables 1..len(bound), to a dict
-    from c-monomials, sorted tuples of the indeterminates' labels, to
-    their coefficients, dicts Monomial -> scalar of that multidegree.
-    Products whose multidegree exceeds bound somewhere are dropped.
+    a multidegree, packed as y + z of a monomial, to a block: a dict from
+    (c-monomial, Y, Z) to the scalar of that term, the c-monomial packed
+    with one field per indeterminate and (Y, Z) a packed monomial of the
+    block's multidegree.  Products whose multidegree exceeds the packed
+    bound somewhere are dropped.
     """
     if out is None:
         out = {}
     for d1, block1 in left.items():
         for d2, block2 in right.items():
-            d = tuple(map(operator.add, d1, d2))
-            if not all(map(operator.le, d, bound)):
+            d = d1 + d2
+            if not _within(d, bound):
                 continue
-            block = out.setdefault(d, {})
-            for k1, p1 in block1.items():
-                for k2, p2 in block2.items():
-                    key = tuple(sorted(k1 + k2))
-                    add_products(field, block.setdefault(key, {}), p1.items(), p2.items())
+            terms = (((c1 + c2, y1 + y2, z1 + z2), a * b) for (c1, y1, z1), a in block1.items()
+                     for (c2, y2, z2), b in block2.items())
+            field.add_into(out.setdefault(d, {}), terms)
     return out
 
 
@@ -226,21 +218,25 @@ class _BoundedClosure:
         if ech is not None:
             return ech
         ech = Echelon(self.field)
-        degrees = dict(key)
-        bound = tuple(degrees.get(v, 0) for v in range(1, key[-1][0] + 1))
+        bound = tuple(dict(key).get(v, 0) for v in range(1, key[-1][0] + 1))
+        top = Monomial(key)[0]  # the bucket's multidegree, packed
+        total = sum(bound)
         options = _basis_monomial_options(bound)
         for delta, quad in self.components:
-            if sum(d for _, d in delta) > sum(bound):
+            if sum(d for _, d in delta) > total:
                 continue
-            for used, block in self._expansion(delta, quad, options, bound).items():
-                mults = list(_iter_splits(tuple(map(operator.sub, bound, used))))
-                for elem in filter(None, block.values()):
-                    for mult in mults:
-                        ech.insert({m * mult: c for m, c in elem.items()})
+            for used, block in self._expansion(delta, quad, options, top, total.bit_length()).items():
+                coefficients = {}
+                for (c, y, z), s in block.items():
+                    coefficients.setdefault(c, []).append((y, z, s))
+                mults = _splits(_monomial(top - used, 0).multidegree())
+                for elem in coefficients.values():
+                    for my, mz in mults:
+                        ech.insert({_monomial(y + my, z + mz): s for y, z, s in elem})
         self._echelons[key] = ech
         return ech
 
-    def _expansion(self, delta, quad, options, bound) -> dict:
+    def _expansion(self, delta, quad, options, top, width) -> dict:
         """Truncated expansion of one multihomogeneous generator part.
 
         Under x_v -> sum_k c_{v,k} b_k, y_v becomes the sum of the
@@ -248,12 +244,14 @@ class _BoundedClosure:
         of these sums is expanded by repeated multiplication, once per
         (v, a, b), so the multinomial coefficients, including those that
         vanish in positive characteristic, come out of the arithmetic.
-        The result is grouped as in _truncated_mul; a coefficient may be
-        zero (an empty dict).
+        The result is grouped as in _truncated_mul, within the packed
+        multidegree top.  The indeterminate c_{v,k} has the field of index
+        (v - 1) * len(options) + k, width bits wide: each c_{v,k} brings
+        degree at least one, so its exponent stays at most the total
+        degree of top, which must be below 2^width.
         """
         field = self.field
-        origin = (0,) * len(bound)
-        unit = {origin: {(): {Monomial(): field.one}}}
+        unit = {0: {(0, 0, 0): field.one}}
         powers = {}
 
         def power(v, a, b):
@@ -264,20 +262,21 @@ class _BoundedClosure:
             if got is None:
                 prev, side = (power(v, a, b - 1), 2) if b else (power(v, a - 1, 0), 1)
                 linear = {}
-                for k, opt in enumerate(options):
-                    linear.setdefault(opt[0], {})[((v, k),)] = {opt[side]: field.one}
-                got = powers[(v, a, b)] = _truncated_mul(field, prev, linear, bound)
+                for k, opt in enumerate(options, (v - 1) * len(options)):
+                    y, z = opt[side]
+                    linear.setdefault(opt[0], {})[(1 << width * k, y, z)] = field.one
+                got = powers[(v, a, b)] = _truncated_mul(field, prev, linear, top)
             return got
 
         variables = [v for v, _ in delta]
         out = {}
         for w, cw in quad.terms.items():
             ys, zs = dict(w.ys), dict(w.zs)
-            prod = {origin: {(): {Monomial(): cw}}}
+            prod = {0: {(0, 0, 0): cw}}
             for v in variables:
                 factor = power(v, ys.get(v, 0), zs.get(v, 0))
                 last = v == variables[-1]
-                prod = _truncated_mul(field, prod, factor, bound, out if last else None)
+                prod = _truncated_mul(field, prod, factor, top, out if last else None)
         return out
 
     def contains(self, f: BicommElement) -> bool:
@@ -327,7 +326,7 @@ def t_ideal_closure_bounded(gens, window: ClosureWindow) -> TIdealSpan:
             rows = sorted(closure._echelon(key).rows, key=lambda r: r[0], reverse=True)
             polys = [dict(vec) for _, vec, _ in rows]
         elif sum(degrees) > 1:
-            monos = sorted(_iter_splits(degrees, mixed_only=True), reverse=True)
+            monos = sorted(_splits(key, mixed_only=True), reverse=True)
             polys = [{m: field.one} for m in monos]
         else:
             buckets[key] = [BicommElement.generator(field, key[0][0])]
@@ -360,16 +359,23 @@ def lift_weight(f: BicommElement, target: Monomial) -> BicommElement:
     then target and the leading coefficient that of f.  A linear term x_i
     of f, though, becomes z_i q or y_i q (relabeled), which can outrank
     target; then UnsupportedGenerator is raised, naming that term.
+    """
+    wt, _ = weight_of(f)
+    phi = higman_embedding(wt, target)
+    if phi is None:
+        raise NotDominated(f"{wt} does not embed into {target}")
+    return _lift(f, wt, phi, target)
+
+
+def _lift(f: BicommElement, wt: Monomial, phi: dict, target: Monomial) -> BicommElement:
+    """lift_weight of f, whose weight is wt, along phi, the greedy
+    embedding of wt into target.
 
     The work runs on packed ints: each term of the relabeled f moves its
     fields and adds q.  Relabeling and shifting are injective, and a
     linear term lands on y_j q or z_j q, which is no shifted mixed term,
     so no two terms meet.
     """
-    wt, _ = weight_of(f)
-    phi = higman_embedding(wt, target)
-    if phi is None:
-        raise NotDominated(f"{wt} does not embed into {target}")
     total = {}
     prev = 0
     for i in sorted(f.indices()):
@@ -412,27 +418,41 @@ def specht_reduce(g: BicommElement, basis, trace=None) -> BicommElement:
     stops when no basis weight embeds.  The trace therefore lists one
     weight per pass, including the final pass that found no reducer.
     """
-    field = g.field
-    active = []
     for b in basis:
-        field.check_same(b.field)
-        if not b.quad.is_zero:
-            active.append((weight_of(b)[0], b))
+        g.field.check_same(b.field)
+    return _reduce(g, _reducers(basis), {}, trace)
+
+
+def _reducers(basis) -> list:
+    """(weight, element) for the basis elements with a quadratic part."""
+    return [(weight_of(b)[0], b) for b in basis if not b.quad.is_zero]
+
+
+def _reduce(g: BicommElement, reducers: list, lifts: dict, trace=None) -> BicommElement:
+    """specht_reduce against the pairs of _reducers, along the embedding
+    that the scan finds.  The lift at a weight is kept in lifts, which
+    reductions against the same reducers may share: the reducer at a
+    weight is the first that embeds.  Over Q an exact ratio of ints stays
+    an int."""
+    field = g.field
+    p = field.characteristic
     work = g
     while not work.quad.is_zero:
         w, nu = weight_of(work)
         if trace is not None:
             trace.append(w)
-        chosen = None
-        for wb, b in active:
-            if higman_leq(wb, w):
-                chosen = b
+        h = lifts.get(w)
+        if h is None:
+            for wb, b in reducers:
+                phi = higman_embedding(wb, w)
+                if phi is not None:
+                    h = lifts[w] = _lift(b, wb, phi, w)
+                    break
+            else:
                 break
-        if chosen is None:
-            break
-        h = lift_weight(chosen, w)
         mu = weight_of(h)[1]
-        work = work.add_scaled(field.neg(field.div(nu, mu)), h)
+        ratio = nu // mu if not p and type(nu) is type(mu) is int and not nu % mu else field.div(nu, mu)
+        work = work.add_scaled(field.neg(ratio), h)
         if not work.quad.is_zero and weight_of(work)[0] >= w:
             raise AssertionError("reduction failed to decrease the weight")
     return work
@@ -461,7 +481,7 @@ def spanning_shift_multiples(gens, window: ClosureWindow) -> list:
         # every monomial of degree at most room, ascending in the degree
         room = window.max_degree - g.degree()
         degrees = sorted(_multidegrees((room,) * window.max_variables, room), key=sum)
-        mults = [m for d in degrees for m in _iter_splits(d)]
+        mults = [m for d in degrees for m in _splits(enumerate(d, 1))]
         for targets in combinations(range(1, window.max_variables + 1), len(indices)):
             shifted = g.apply_index_map(dict(zip(indices, targets)))
             for mult in mults:
@@ -521,7 +541,8 @@ def specht_basis_search(gens, window: ClosureWindow) -> SpechtSearchResult:
     ech = Echelon(field)
     grew = [v for v in spanning_shift_multiples(gens, window) if ech.insert(v.quad.terms) is None]
     antichain = minimal_antichain(ech.pivots())
-    verified = all(specht_reduce(v, basis).is_zero for v in grew)
+    reducers, lifts = _reducers(basis), {}
+    verified = all(_reduce(v, reducers, lifts).is_zero for v in grew)
     return SpechtSearchResult(basis, antichain, verified)
 
 

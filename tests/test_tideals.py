@@ -4,6 +4,7 @@ against sampled substitutions and hand-computed reductions."""
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -460,6 +461,61 @@ def test_specht_reduce_properties():
     keeps_lin = element(QQ, lin={1: 1}, quad=[("y1^2*z1", 1)])
     r = specht_reduce(keeps_lin, [quad_element(QQ, ("y1*z1", 1))])
     assert r == element(QQ, lin={1: 1})
+
+
+def _reference_reduce(g, basis, trace):
+    """specht_reduce from the public pieces: the first basis element whose
+    weight embeds (higman_leq) is lifted with lift_weight, which finds the
+    embedding again, and subtracted with the field's ratio of the leads."""
+    field = g.field
+    work = g
+    while not work.quad.is_zero:
+        w, nu = weight_of(work)
+        trace.append(w)
+        chosen = next((b for b in basis if not b.quad.is_zero and higman_leq(weight_of(b)[0], w)), None)
+        if chosen is None:
+            break
+        h = lift_weight(chosen, w)
+        work = work.add_scaled(field.neg(field.div(nu, weight_of(h)[1])), h)
+    return work
+
+
+def test_specht_reduce_matches_a_reduction_through_the_public_lift():
+    """Same trace and remainder, printed alike, or the same error and text,
+    as the reference, over Q (some leads Fractions), F2 and F3, with bases
+    whose linear terms make some lifts raise UnsupportedGenerator."""
+    rng = random.Random(523)
+    refused = 0
+    for field in (QQ, F2, F3):
+        for _ in range(60):
+            basis = [random_element(rng, field, max_index=2, max_degree=3, terms=2)
+                     for _ in range(rng.randint(1, 3))]
+            if field.is_rationals and rng.random() < 0.3:
+                basis[0] = basis[0].scale(Fraction(rng.choice([1, -3]), rng.choice([2, 3])))
+            g = random_quad_element(rng, field, max_index=4, max_degree=6, terms=4)
+            want_trace, got_trace = [], []
+            want = _outcome(_reference_reduce, g, basis, want_trace)
+            got = _outcome(specht_reduce, g, basis, got_trace)
+            assert got == want and got_trace == want_trace
+            if isinstance(got, BicommElement):
+                assert str(got) == str(want)
+            else:
+                assert got[0] is UnsupportedGenerator and got[1].startswith("linear term x")
+                refused += 1
+    assert refused
+    g = quad_element(QQ, ("y2*z1", 1))
+    assert _outcome(lift_weight, g, parse_monomial("y1*z1^3")) == (
+        NotDominated, "y2*z1 does not embed into y1*z1^3")
+
+
+def test_search_over_q_keeps_int_coefficients_where_the_leads_divide():
+    """The second generator reduces by the commutator with the lead ratio
+    2 / -1; the kept remainder holds ints and prints as before."""
+    comm = _commutator(QQ)
+    g = quad_element(QQ, ("y2*z1", 2), ("y1*z2", -1), ("y1*z1", 1))
+    found = specht_basis_search([comm, g], ClosureWindow(4, 2))
+    assert [str(b) for b in found.basis] == ["-y2*z1 + y1*z2", "y1*z2 + y1*z1"]
+    assert all(type(c) is int for b in found.basis for c in b.quad.terms.values())
 
 
 def test_spanning_shift_multiples_contents():
