@@ -245,14 +245,15 @@ class _BoundedClosure:
         (v, a, b), so the multinomial coefficients, including those that
         vanish in positive characteristic, come out of the arithmetic.
         The result is grouped as in _truncated_mul, within the packed
-        multidegree top.  The indeterminate c_{v,k} has the field of index
-        (v - 1) * len(options) + k, width bits wide: each c_{v,k} brings
-        degree at least one, so its exponent stays at most the total
-        degree of top, which must be below 2^width.
+        multidegree top.  For the n-th variable v of the part, c_{v,k} has
+        the field of index n * len(options) + k, width bits wide: each
+        c_{v,k} brings degree at least one, so its exponent stays at most
+        the total degree of top, which must be below 2^width.
         """
         field = self.field
         unit = {0: {(0, 0, 0): field.one}}
         powers = {}
+        variables = [v for v, _ in delta]
 
         def power(v, a, b):
             """(sum_k c_{v,k} t(b_k))^a (sum_k c_{v,k} s(b_k))^b, truncated."""
@@ -262,13 +263,12 @@ class _BoundedClosure:
             if got is None:
                 prev, side = (power(v, a, b - 1), 2) if b else (power(v, a - 1, 0), 1)
                 linear = {}
-                for k, opt in enumerate(options, (v - 1) * len(options)):
+                for k, opt in enumerate(options, variables.index(v) * len(options)):
                     y, z = opt[side]
                     linear.setdefault(opt[0], {})[(1 << width * k, y, z)] = field.one
                 got = powers[(v, a, b)] = _truncated_mul(field, prev, linear, top)
             return got
 
-        variables = [v for v, _ in delta]
         out = {}
         for w, cw in quad.terms.items():
             ys, zs = dict(w.ys), dict(w.zs)
