@@ -108,7 +108,7 @@ def _exponents(v: int, n: int) -> tuple:
 
 
 def _within(d: int, bound: int) -> bool:
-    """Whether no field of the packed int d exceeds that of bound, as in divides."""
+    """Whether no field of the packed int d exceeds that of bound."""
     e = bound - d
     return e >= 0 and not e & _guard
 
@@ -241,11 +241,7 @@ class Monomial(tuple):
         return _new(Monomial, (y, z))
 
     def divides(self, other: "Monomial") -> bool:
-        d = other[0] - self[0]
-        if d < 0 or d & _guard:
-            return False
-        d = other[1] - self[1]
-        return d >= 0 and not d & _guard
+        return _within(self[0], other[0]) and _within(self[1], other[1])
 
     def div(self, other: "Monomial") -> "Monomial":
         """Quotient self / other; other must divide self."""

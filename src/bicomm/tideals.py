@@ -14,6 +14,13 @@ is a row, and the rows are reduced per multidegree.  Expansions are
 keyed by packed ints: a multidegree is y + z of a monomial, and a block
 maps (c-monomial, Y, Z) to a scalar, the c-monomial an int with one bit
 field per indeterminate, so that a product adds three ints per term pair.
+These sums of packed monomials skip the guard-bit check of Monomial
+multiplication, and that is safe for one reason: _truncated_mul first
+tests each product's multidegree with monomials._within against the
+bucket's multidegree, which came from a validated Monomial, and the y and
+z parts of anything within it are no larger.  _splits, _echelon and _lift
+likewise add packed ints whose fields stay within a validated monomial;
+all of them depend on the packed format.
 
 The reduction machinery (lift_weight, specht_reduce,
 specht_basis_search) works with the narrower family obtained from
@@ -420,7 +427,7 @@ def specht_reduce(g: BicommElement, basis, trace=None) -> BicommElement:
     """
     for b in basis:
         g.field.check_same(b.field)
-    return _reduce(g, _reducers(basis), {}, trace)
+    return _reduce(g, _reducers(basis), trace)
 
 
 def _reducers(basis) -> list:
@@ -428,11 +435,9 @@ def _reducers(basis) -> list:
     return [(weight_of(b)[0], b) for b in basis if not b.quad.is_zero]
 
 
-def _reduce(g: BicommElement, reducers: list, lifts: dict, trace=None) -> BicommElement:
-    """specht_reduce against the pairs of _reducers, along the embedding
-    that the scan finds.  The lift at a weight is kept in lifts, which
-    reductions against the same reducers may share: the reducer at a
-    weight is the first that embeds.  Over Q an exact ratio of ints stays
+def _reduce(g: BicommElement, reducers: list, trace=None) -> BicommElement:
+    """specht_reduce against the pairs of _reducers, lifting along the
+    embedding that the scan finds.  Over Q an exact ratio of ints stays
     an int."""
     field = g.field
     p = field.characteristic
@@ -441,15 +446,13 @@ def _reduce(g: BicommElement, reducers: list, lifts: dict, trace=None) -> Bicomm
         w, nu = weight_of(work)
         if trace is not None:
             trace.append(w)
-        h = lifts.get(w)
-        if h is None:
-            for wb, b in reducers:
-                phi = higman_embedding(wb, w)
-                if phi is not None:
-                    h = lifts[w] = _lift(b, wb, phi, w)
-                    break
-            else:
+        for wb, b in reducers:
+            phi = higman_embedding(wb, w)
+            if phi is not None:
+                h = _lift(b, wb, phi, w)
                 break
+        else:
+            break
         mu = weight_of(h)[1]
         ratio = nu // mu if not p and type(nu) is type(mu) is int and not nu % mu else field.div(nu, mu)
         work = work.add_scaled(field.neg(ratio), h)
@@ -541,8 +544,8 @@ def specht_basis_search(gens, window: ClosureWindow) -> SpechtSearchResult:
     ech = Echelon(field)
     grew = [v for v in spanning_shift_multiples(gens, window) if ech.insert(v.quad.terms) is None]
     antichain = minimal_antichain(ech.pivots())
-    reducers, lifts = _reducers(basis), {}
-    verified = all(_reduce(v, reducers, lifts).is_zero for v in grew)
+    reducers = _reducers(basis)
+    verified = all(_reduce(v, reducers).is_zero for v in grew)
     return SpechtSearchResult(basis, antichain, verified)
 
 
