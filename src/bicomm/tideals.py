@@ -15,12 +15,12 @@ keyed by packed ints: a multidegree is y + z of a monomial, and a block
 maps (c-monomial, Y, Z) to a scalar, the c-monomial an int with one bit
 field per indeterminate, so that a product adds three ints per term pair.
 These sums of packed monomials skip the guard-bit check of Monomial
-multiplication, and that is safe for one reason: _truncated_mul first
-tests each product's multidegree with monomials._within against the
-bucket's multidegree, which came from a validated Monomial, and the y and
-z parts of anything within it are no larger.  _splits, _echelon and _lift
-likewise add packed ints whose fields stay within a validated monomial;
-all of them depend on the packed format.
+multiplication.  That is safe because _truncated_mul first tests each
+product's multidegree with monomials._within against the bucket's, which
+came from a validated Monomial, and the y and z parts are no larger;
+_echelon and _splits add parts that stay within such a multidegree or
+the window, and _lift checks its sums afterwards with monomials._admit.
+All four depend on the packed format.
 
 The reduction machinery (lift_weight, specht_reduce,
 specht_basis_search) works with the narrower family obtained from
