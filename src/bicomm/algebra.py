@@ -11,7 +11,8 @@ plus a quadratic part living in the span of mixed monomials Y^a Z^b with
 
 Writing t(f) = sum c_i y_i + quad(f) and s(f) = sum c_i z_i + quad(f) for
 f with linear coefficients c_i, every product collapses to the polynomial
-identity f * g = t(f) s(g), which is how multiplication is implemented.
+identity f * g = t(f) s(g).  multiply and parse_element both apply it in
+one kernel, _packed_product, on the packed (Y, Z) ints of monomials.
 The square of the algebra is therefore commutative and associative, and
 left/right multiplications by the generators act on it as multiplication
 by y_i and z_j.
@@ -28,13 +29,12 @@ the text, to the normal forms of the two factors.
 from __future__ import annotations
 
 import functools
-import itertools
 from math import comb
 
 from . import monomials
 from .errors import BadElement, FieldMismatch
 from .monomials import Monomial, _monomial, _support, check_index_map, y_variable, z_variable
-from .polynomials import Poly, _poly, add_products, format_terms
+from .polynomials import Poly, _poly, format_terms
 from .scalars import Field
 from .terms import Leaf, NAPolynomial, NATerm, _parse, _symbols, parse_expression
 
@@ -128,38 +128,20 @@ class BicommElement:
         return _element(self.field, lin, self.quad.scale(coeff))
 
     def multiply(self, other: "BicommElement") -> "BicommElement":
-        """Algebra product; the result always lies in the square.
-
-        Expands t(self) * s(other) term by term without building the two
-        polynomials: a linear term x_i of self acts as y_i, a linear term
-        x_j of other as z_j.  The four blocks lin*lin, lin*quad, quad*lin
-        and quad*quad add into one dict; only lin*lin gives degree 2, so
-        its products are distinct and are stored without a lookup.
-        """
+        """Algebra product t(self) s(other); the result always lies in the
+        square.  Raises ValueError if an exponent reaches 2^31."""
         field = self.field
         field.check_same(other.field)
-        mul = field.mul
-        ys = [(y_variable(i), c) for i, c in self.lin.items()]
-        zs = [(z_variable(j), c) for j, c in other.lin.items()]
-        acc = {y * z: v for y, c1 in ys for z, c2 in zs if (v := mul(c1, c2))}
-        quad_l, quad_r = self.quad.terms.items(), other.quad.terms.items()
-        if quad_r:
-            if ys:
-                add_products(field, acc, ys, quad_r)
-            if quad_l:
-                add_products(field, acc, quad_l, quad_r)
-        if quad_l and zs:
-            add_products(field, acc, quad_l, zs)
-        return _element(field, {}, _poly(field, acc))
+        acc = _packed_product(field, _kernel_terms(self), _kernel_terms(other))
+        return _element(field, {}, _poly(field, {_monomial(y, z): c for (y, z), c in acc.items()}))
 
     def __mul__(self, other):
         return self.multiply(other)
 
     def apply_index_map(self, phi: dict) -> "BicommElement":
-        quad_indices = (i for m in self.quad.terms for i in m.indices())
-        check_index_map(phi, itertools.chain(self.lin, quad_indices))
+        check_index_map(phi, self.lin)
         lin = {phi[i]: c for i, c in self.lin.items()}
-        return BicommElement(self.field, lin, self.quad._relabeled(phi))
+        return _element(self.field, lin, self.quad.apply_index_map(phi))
 
     def split_multihomogeneous(self) -> dict:
         """Split into parts with a fixed per-index degree.
@@ -238,18 +220,25 @@ def normalize(poly: NAPolynomial) -> BicommElement:
     return _element(field, lin, _poly(field, quad))
 
 
-class _Unpackable(Exception):
+class _Unpackable(ValueError):
     """A value that packed monomials cannot hold: an index above 2^20 or an
-    exponent of 2^31."""
+    exponent of 2^31.  parse_element reads such text through the trees
+    instead; from multiply it leaves as a ValueError."""
+
+
+def _kernel_terms(e: BicommElement) -> dict:
+    """The terms of e as one dict, keyed as _packed_product reads them."""
+    lin, quad = e.lin, e.quad.terms
+    return {**lin, **quad} if lin and quad else lin or quad
 
 
 def _packed_product(field: Field, a: dict, b: dict) -> dict:
-    """Product of two values of parse_element by f * g = t(f) s(g): a key
-    is the index i of a lone x_i, or the packed pair (Y, Z) of a mixed
-    monomial.  Distinct pairs of terms can give the same monomial, so all
-    of them sum through one add_into call.  A product of two single terms
-    sums nothing and is built directly; every product inside a bracketed
-    word is one."""
+    """Product of two elements by f * g = t(f) s(g), on dicts of terms: a
+    key is the index i of a lone x_i, or the packed pair (Y, Z) of a mixed
+    monomial, and the product's keys are plain (Y, Z) tuples.  Distinct
+    pairs of terms can give the same monomial, so all of them sum through
+    one add_into call.  A product of two single terms sums nothing and is
+    built directly; every product inside a bracketed word is one."""
     if len(a) == 1 == len(b):
         ((k1, c1),) = a.items()
         ((k2, c2),) = b.items()
@@ -266,7 +255,7 @@ def _packed_product(field: Field, a: dict, b: dict) -> dict:
     guard = monomials._guard  # read after y_variable and z_variable widened it
     for y, z in acc:
         if (y | z) & guard:
-            raise _Unpackable
+            raise _Unpackable("exponent of a product must stay below 2^31")
     return acc
 
 
@@ -280,7 +269,7 @@ def parse_element(text: str, field: Field) -> BicommElement:
 
     def leaf(i):
         if i > monomials._MAX_INDEX:
-            raise _Unpackable
+            raise _Unpackable(f"variable index must be at most 2^20, got {i}")
         return {i: one}
 
     try:

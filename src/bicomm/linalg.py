@@ -3,7 +3,7 @@
 Vectors are sparse dicts mapping hashable keys to nonzero scalars.  Every
 sum of rows accumulates through Field.add_into, which deletes the keys
 that cancel, so no zero is ever stored.  A new row's pivot is its
-greatest key, under sort_key when one is given.  An Echelon keeps a
+greatest key, so keys must be mutually comparable.  An Echelon keeps a
 fully interreduced basis of the span of the vectors inserted so far, one
 row per pivot.  No row has an entry at another row's pivot, so reducing
 a vector visits only the pivots it holds.  A column index maps each key
@@ -68,11 +68,10 @@ def _cancel(vec: dict, row: dict, pivot, add_into) -> int:
 class Echelon:
     """Tracked reduced row echelon form of a growing set of sparse vectors."""
 
-    __slots__ = ("field", "sort_key", "_rows", "_cols", "_combos")
+    __slots__ = ("field", "_rows", "_cols", "_combos")
 
-    def __init__(self, field: Field, sort_key=None):
+    def __init__(self, field: Field):
         self.field = field
-        self.sort_key = sort_key
         # pivot -> row in the form of primitive, in the order rows were made
         self._rows = {}
         # key that is no pivot -> pivots of the rows that may hold it
@@ -136,7 +135,7 @@ class Echelon:
         work, scale = self._residual(vec)
         if not work:
             return self._used(vec)
-        pivot = max(work, key=self.sort_key)
+        pivot = max(work)
         lc = work[pivot]
         row = dict(primitive(lc, work.items(), p))
         if combos is not None:

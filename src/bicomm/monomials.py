@@ -41,8 +41,8 @@ _LIMIT = 1 << (_WIDTH - 1)  # exponents stay below the guard bit
 _MAX_INDEX = 1 << 20
 
 # Guard bits of the fields below bit _guard_bits.  Every monomial is covered:
-# the public constructor widens the mask before it packs a higher index,
-# and sums, differences and maxima stay within their operands' fields.
+# the public constructor and _relabeler widen the mask before a higher index
+# is packed, and sums, differences and maxima stay within their operands' fields.
 # "&" with a nonnegative int costs the smaller operand's size, so one
 # module-wide mask serves monomials of every size.
 _guard = 0
@@ -50,12 +50,13 @@ _guard_bits = 0
 
 
 def _cover(nbits: int) -> None:
-    """Widen the guard mask to the fields of an int of nbits bits, at least
-    doubling it, so that indices growing one by one rebuild it rarely."""
+    """Widen the guard mask, at least doubling it, if it does not cover the
+    fields of an int of nbits bits; indices growing one by one rebuild it rarely."""
     global _guard, _guard_bits
-    fields = max(-(-nbits // _WIDTH), 2 * _guard_bits // _WIDTH)
-    _guard = int.from_bytes(_LIMIT.to_bytes(_WIDTH // 8, "little") * fields, "little")
-    _guard_bits = _WIDTH * fields
+    if nbits > _guard_bits:
+        fields = max(-(-nbits // _WIDTH), 2 * _guard_bits // _WIDTH)
+        _guard = int.from_bytes(_LIMIT.to_bytes(_WIDTH // 8, "little") * fields, "little")
+        _guard_bits = _WIDTH * fields
 
 
 def _pack(pairs) -> int:
@@ -115,7 +116,13 @@ def _within(d: int, bound: int) -> bool:
 
 def _relabeler(phi: dict):
     """Function moving the fields of a packed int along phi, a strictly
-    increasing map of positive indices defined on every index it uses."""
+    increasing map of positive indices defined on exactly the indices that
+    the int uses.  Raises ValueError, in the words of the constructor, if
+    phi sends one past 2^20; else widens the guard mask to the images."""
+    top = max(phi.values(), default=0)
+    if top > _MAX_INDEX:
+        raise ValueError(f"variable index must be at most 2^20, got {top}")
+    _cover(_WIDTH * top)
     moves = [(_WIDTH * (i - 1), _WIDTH * (j - 1)) for i, j in phi.items() if i != j]
     keep = ~sum(_FIELD << s for s, _ in moves)
 
@@ -139,25 +146,19 @@ def _support(ms) -> set:
 
 def _admit(ms, q: "Monomial") -> None:
     """Check monomials that the trusted constructor built as products of
-    q and relabeled monomials: raise ValueError, in the words of the
-    public constructor and of a product, if an index passes 2^20 or an
-    exponent reaches 2^31; else widen the guard mask to cover them."""
+    q and monomials relabeled by _relabeler, which widened the guard mask
+    to cover them: raise ValueError, in the words of a product, if an
+    exponent reaches 2^31."""
     bits = 0
     for y, z in ms:
         bits |= y | z
-    nbits = bits.bit_length()
-    if nbits > _guard_bits:
-        top = -(-nbits // _WIDTH)
-        if top > _MAX_INDEX:
-            raise ValueError(f"variable index must be at most 2^20, got {top}")
-        _cover(nbits)
     if bits & _guard:
         raise ValueError(f"exponent of {q} times a relabeled monomial must stay below 2^31")
 
 
 def check_index_map(phi: dict, indices) -> None:
-    """Raise InvalidIndexMap unless phi is strictly increasing and defined
-    on every index of the iterable indices."""
+    """Raise InvalidIndexMap unless phi is strictly increasing and sends
+    every index of the iterable indices to an int >= 1."""
     items = sorted(phi.items())
     for (i1, j1), (i2, j2) in zip(items, items[1:]):
         if j1 >= j2:
@@ -165,6 +166,8 @@ def check_index_map(phi: dict, indices) -> None:
     for i in indices:
         if i not in phi:
             raise InvalidIndexMap(f"index {i} not in the domain of the map")
+        if type(j := phi[i]) is not int or j < 1:
+            raise InvalidIndexMap(f"index {i} maps to {j!r}, which is no index >= 1")
 
 
 class Monomial(tuple):
@@ -174,9 +177,7 @@ class Monomial(tuple):
 
     def __new__(cls, ys=(), zs=()):
         y, z = _pack(ys), _pack(zs)
-        nbits = max(y.bit_length(), z.bit_length())
-        if nbits > _guard_bits:
-            _cover(nbits)
+        _cover(max(y.bit_length(), z.bit_length()))
         return _new(cls, (y, z))
 
     # a tuple's concatenation and repetition are no monomial operations
@@ -253,15 +254,10 @@ class Monomial(tuple):
 
     def apply_index_map(self, phi: dict) -> "Monomial":
         """Rename indices through phi, which must be strictly increasing."""
-        check_index_map(phi, self.indices())
-        return self._relabeled(phi)
-
-    def _relabeled(self, phi: dict) -> "Monomial":
-        """apply_index_map for a phi already checked on these indices."""
-        return Monomial(
-            ((phi[i], e) for i, e in self.ys),
-            ((phi[i], e) for i, e in self.zs),
-        )
+        used = self.indices()
+        check_index_map(phi, used)
+        relabel = _relabeler({i: phi[i] for i in used})
+        return _new(Monomial, (relabel(self[0]), relabel(self[1])))
 
     def __str__(self):
         if self.is_unit:

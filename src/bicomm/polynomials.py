@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .errors import BadElement
-from .monomials import ONE, Monomial, check_index_map
+from .monomials import Monomial, _monomial, _relabeler, _support, check_index_map
 from .orders import weight_key
 from .scalars import Field
 
@@ -39,11 +39,6 @@ class Poly:
     @classmethod
     def zero(cls, field: Field) -> "Poly":
         return cls(field)
-
-    @classmethod
-    def monomial(cls, field: Field, m: Monomial, coeff=None) -> "Poly":
-        c = field.one if coeff is None else coeff
-        return cls(field, {m: c})
 
     @property
     def is_zero(self) -> bool:
@@ -105,7 +100,8 @@ class Poly:
     def mul(self, other: "Poly") -> "Poly":
         self.field.check_same(other.field)
         acc = {}
-        add_products(self.field, acc, self.terms.items(), other.terms.items())
+        for m1, c1 in self.terms.items():
+            self.field.add_into(acc, ((m1 * m2, c2) for m2, c2 in other.terms.items()), c1)
         return _poly(self.field, acc)
 
     def monic(self) -> "Poly":
@@ -115,14 +111,10 @@ class Poly:
         return self.scale(self.field.inv(c))
 
     def apply_index_map(self, phi: dict) -> "Poly":
-        check_index_map(phi, (i for m in self.terms for i in m.indices()))
-        return self._relabeled(phi)
-
-    def _relabeled(self, phi: dict) -> "Poly":
-        """apply_index_map for a phi already checked on these indices."""
-        acc = {}
-        self.field.add_into(acc, ((m._relabeled(phi), c) for m, c in self.terms.items()))
-        return _poly(self.field, acc)
+        used = _support(self.terms)
+        check_index_map(phi, used)
+        relabel = _relabeler({i: phi[i] for i in used})
+        return _poly(self.field, {_monomial(relabel(y), relabel(z)): c for (y, z), c in self.terms.items()})
 
     def coefficient(self, m: Monomial):
         return self.terms.get(m, self.field.zero)
@@ -161,15 +153,6 @@ def _poly(field: Field, terms: dict) -> Poly:
     p._lead = None
     p._hash = None
     return p
-
-
-def add_products(field: Field, acc: dict, left, right) -> None:
-    """Add the product of two sums given as (monomial, coefficient) pairs
-    into the dict acc, dropping the terms that cancel.  right is iterated
-    once per left term."""
-    add_into = field.add_into
-    for m1, c1 in left:
-        add_into(acc, ((m1 * m2, c2) for m2, c2 in right), c1)
 
 
 def format_terms(field: Field, pairs) -> str:

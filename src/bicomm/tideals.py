@@ -45,7 +45,9 @@ from .errors import (
     WrongCharacteristic,
 )
 from .linalg import Echelon
-from .monomials import ONE, Monomial, _admit, _monomial, _relabeler, _within, y_variable, z_variable
+from .monomials import (
+    ONE, Monomial, _admit, _monomial, _relabeler, _support, _within, y_variable, z_variable
+)
 from .orders import higman_embedding, minimal_antichain, weight_of
 from .polynomials import Poly, _poly
 from .scalars import Field
@@ -385,12 +387,13 @@ def _lift(f: BicommElement, wt: Monomial, phi: dict, target: Monomial) -> Bicomm
     """
     total = {}
     prev = 0
-    for i in sorted(f.indices()):
+    packed = _support(f.quad.terms)
+    for i in sorted(packed | f.lin.keys()):
         value = phi.get(i, prev + 1)
         if value <= prev:
             raise AssertionError("embedding extension failed to increase")
         total[i] = prev = value
-    relabel = _relabeler(total)
+    relabel = _relabeler({i: total[i] for i in packed})
     q = target.div(_monomial(relabel(wt[0]), relabel(wt[1])))
     qy, qz = q
     lin, terms = {}, {}

@@ -129,7 +129,7 @@ def test_criterion_02_dimension_enumeration():
                 rank = len(monomials) + len(linear)
                 assert rank == graded_dimension(d, n), (d, n, rank)
                 if d <= 2 and 2 <= n <= 4:
-                    ech = Echelon(QQ, sort_key=weight_key)
+                    ech = Echelon(QQ)
                     for m in monomials:
                         ech.insert({m: QQ.one})
                     assert ech.rank == len(monomials)

@@ -286,6 +286,14 @@ def test_products_equal_the_validated_element(data):
         assert field.is_rationals or 0 < c < field.characteristic
 
 
+def test_multiply_refuses_an_exponent_past_the_guard_bit():
+    big = Monomial([(1, 1 << 30)], [(1, 1)])
+    for terms in ({big: 1}, {big: 1, pm("y2*z1"): 1}):
+        f = BicommElement.from_quad(Poly(QQ, terms))
+        with pytest.raises(ValueError, match=r"2\^31"):
+            f.multiply(f)
+
+
 _raw_scalars = st.one_of(
     st.integers(-12, 12), st.fractions(min_value=-12, max_value=12, max_denominator=6)
 )
@@ -467,6 +475,24 @@ def test_apply_index_map_on_elements():
         e.apply_index_map({1: 3})
 
 
+def test_index_maps_bound_only_the_images_of_used_indices():
+    """An image above 2^20 is ignored for an index the element does not
+    use and refused for one that it packs; a linear index is not packed."""
+    top = 1 << 20
+    m = pm("y1*z2")
+    p = Poly(QQ, {m: 3})
+    e = BicommElement(QQ, {1: 2}, p)
+    moved = pm("y2*z3")
+    cases = [(m, moved), (p, Poly(QQ, {moved: 3})), (e, BicommElement(QQ, {2: 2}, Poly(QQ, {moved: 3})))]
+    for x, want in cases:
+        assert x.apply_index_map({1: 2, 2: 3, 7: top + 1}) == want
+        with pytest.raises(ValueError, match=f"at most 2\\^20, got {top + 1}$"):
+            x.apply_index_map({1: 2, 2: top + 1})
+        with pytest.raises(InvalidIndexMap, match="maps to 0"):
+            x.apply_index_map({1: 0, 2: 3})
+    assert str(BicommElement.generator(QQ, 1).apply_index_map({1: top + 1})) == f"x{top + 1}"
+
+
 def test_element_str_and_hash():
     e = element(QQ, lin={2: 1, 1: -1}, quad=[("y1*z2", 1), ("y2*z1", -1)])
     assert str(e) == "-y2*z1 + y1*z2 - x1 + x2"
@@ -542,6 +568,24 @@ def test_parse_element_is_normalize_of_the_parsed_trees(data):
     got, want = parse_element(text, field), _through_trees(text, field)
     assert got == want and str(got) == str(want), text
     assert got.quad.is_mixed_only and all(got.quad.terms.values()) and all(got.lin.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_parsed_product_of_two_sums_is_their_product(data):
+    """The product of two bracketed sums, read by parse_element, equals
+    multiply on the two parsed sums and the product read through the
+    trees.  Each sum has a linear term and at least one other term."""
+    field = data.draw(_fields)
+    a, b = (
+        f"{_sum_text(data.draw, field, 1)} + {data.draw(st.integers(1, 4))}*x{data.draw(st.integers(1, 4))}"
+        for _ in range(2)
+    )
+    text = f"({a})*({b})"
+    got = parse_element(text, field)
+    want = parse_element(a, field) * parse_element(b, field)
+    assert got == want and str(got) == str(want), text
+    assert got == _through_trees(text, field), text
 
 
 # tokens that a mutation may insert: the big index cannot be packed, so it

@@ -70,12 +70,6 @@ def _vec(e):
     return v
 
 
-def _vec_key(key):
-    if key[0] == "l":
-        return (0, key[1])
-    return (1, weight_key(key[1]))
-
-
 def _min_degree(e):
     d = None
     if e.lin:
@@ -91,7 +85,7 @@ def _action_closure(gens, var_range, cap):
     products are expanded while their smallest component degree stays
     within cap."""
     field = gens[0].field
-    ech = Echelon(field, sort_key=_vec_key)
+    ech = Echelon(field)
     frontier = []
 
     def add(e):
@@ -134,7 +128,7 @@ def _one_sided_closure(gens, var_range, cap, side):
     mixed polynomials, so any monomial with a z slot can multiply from
     the right (and dually for the left)."""
     field = gens[0].field
-    ech = Echelon(field, sort_key=_vec_key)
+    ech = Echelon(field)
     for g in gens:
         if not g.is_zero:
             ech.insert(_vec(g))

@@ -113,15 +113,6 @@ def test_contains_and_express():
     assert ech.contains({})
 
 
-def test_custom_sort_key_controls_pivot_choice():
-    ech = Echelon(QQ, sort_key=lambda j: -j)
-    ech.insert({1: QQ.one, 5: QQ.one})
-    assert ech.pivots() == [1]
-    ech2 = Echelon(QQ)
-    ech2.insert({1: QQ.one, 5: QQ.one})
-    assert ech2.pivots() == [5]
-
-
 def test_zero_vector_insert_reports_empty_dependency():
     ech = Echelon(QQ)
     dep = ech.insert({}, label="z")
@@ -199,8 +190,11 @@ def _echelon_cases(draw):
     return field, ncols, reverse, labelled, vectors, queries
 
 
-def _sparse(field, dense):
-    return {j: field.canonical(c) for j, c in enumerate(dense) if field.canonical(c)}
+def _sparse(field, dense, order):
+    """The nonzero entries of a dense vector, column j keyed order[j], so
+    that Echelon, which pivots on the greatest key, follows the pivot order
+    that order gives the dense reference."""
+    return {order[j]: field.canonical(c) for j, c in enumerate(dense) if field.canonical(c)}
 
 
 def _combine(field, combo, vectors):
@@ -218,13 +212,13 @@ def test_echelon_matches_dense_gauss_jordan(case):
     and every dependency, expression and row combination rebuilds its
     vector from the labelled inserts."""
     field, ncols, reverse, labelled, vectors, queries = case
-    sort_key = (lambda j: -j) if reverse else None
-    ech = Echelon(field, sort_key=sort_key)
-    ref = _DenseEchelon(field, ncols, sort_key or (lambda j: j))
+    order = list(range(ncols))[::-1] if reverse else list(range(ncols))
+    ech = Echelon(field)
+    ref = _DenseEchelon(field, ncols, order.__getitem__)
     sparse = {}
     grown = set()
     for label, dense in enumerate(vectors):
-        vec = _sparse(field, dense)
+        vec = _sparse(field, dense, order)
         sparse[label] = vec
         dep = ech.insert(dict(vec), label=label if labelled else None)
         assert (dep is None) == ref.insert([field.canonical(c) for c in dense])
@@ -234,9 +228,9 @@ def test_echelon_matches_dense_gauss_jordan(case):
             assert set(dep) <= grown and _combine(field, dep, sparse) == vec
         else:
             assert dep == {}
-        assert ech.pivots() == [p for p, _ in ref.rows] and ech.rank == len(ref.rows)
+        assert ech.pivots() == [order[p] for p, _ in ref.rows] and ech.rank == len(ref.rows)
         rows = ech.rows
-        assert [(p, v) for p, v, _ in rows] == [(p, _sparse(field, r)) for p, r in ref.rows]
+        assert [(p, v) for p, v, _ in rows] == [(order[p], _sparse(field, r, order)) for p, r in ref.rows]
         for p, v, combo in rows:
             assert v[p] == 1
             stored = ech._rows[p]  # held primitive: coprime ints, or monic residues
@@ -246,7 +240,7 @@ def test_echelon_matches_dense_gauss_jordan(case):
             else:
                 assert combo == {}
     for dense in queries + vectors:
-        vec = _sparse(field, dense)
+        vec = _sparse(field, dense, order)
         inside = not any(ref.residual([field.canonical(c) for c in dense]))
         assert ech.contains(dict(vec)) == inside
         got = ech.express(dict(vec))
@@ -284,7 +278,7 @@ def test_long_sparse_runs_match_dense_gauss_jordan_after_every_insert():
                 ncols = rng.randint(20, 40)
                 order = list(range(ncols))
                 rng.shuffle(order)
-                ech = Echelon(field, sort_key=order.__getitem__)
+                ech = Echelon(field)
                 ref = _DenseEchelon(field, ncols, order.__getitem__)
                 dense_of, sparse = {}, {}
                 for label in range(rng.randint(30, 60)):
@@ -297,13 +291,14 @@ def test_long_sparse_runs_match_dense_gauss_jordan_after_every_insert():
                         for k in rng.sample(range(ncols), rng.randint(1, 5)):
                             dense[k] = rng.choice(values[field])
                     dense_of[label] = dense
-                    sparse[label] = vec = _sparse(field, dense)
+                    sparse[label] = vec = _sparse(field, dense, order)
                     dep = ech.insert(dict(vec), label=label if labelled else None)
                     assert (dep is None) == ref.insert(dense)
                     if dep is not None:
                         assert _combine(field, dep, sparse) == vec if labelled else dep == {}
-                    assert ech.pivots() == [p for p, _ in ref.rows]
+                    assert ech.pivots() == [order[p] for p, _ in ref.rows]
                     rows = ech.rows
-                    assert [(p, v) for p, v, _ in rows] == [(p, _sparse(field, r)) for p, r in ref.rows]
+                    assert [(p, v) for p, v, _ in rows] == [(order[p], _sparse(field, r, order))
+                                                             for p, r in ref.rows]
                     if labelled:
                         assert all(_combine(field, combo, sparse) == v for _, v, combo in rows)

@@ -150,7 +150,7 @@ def _sampled_closure(rng, gens, window, rounds):
     buckets = {}
 
     def insert(part_key, poly):
-        ech = buckets.setdefault(part_key, Echelon(field, sort_key=weight_key))
+        ech = buckets.setdefault(part_key, Echelon(field))
         ech.insert(dict(poly.terms))
 
     multipliers = _all_monomials(window.max_variables, window.max_degree)
@@ -195,7 +195,7 @@ def test_closure_buckets_match_sampled_substitutions():
     sampled = _sampled_closure(rng, gens, window, rounds=25)
     computed = {}
     for key, dim in span.dimensions().items():
-        ech = Echelon(QQ, sort_key=weight_key)
+        ech = Echelon(QQ)
         for row in span.component(dict(key)):
             ech.insert(dict(row.quad.terms))
         computed[key] = ech
@@ -691,7 +691,7 @@ def _linearized_closure(sympy, g, window, field, domain):
                 continue
             (top,) = {m.multidegree() for m in shifted}
             if sum(d for _, d in top) <= window.max_degree:
-                ech = buckets.setdefault(top, Echelon(field, sort_key=weight_key))
+                ech = buckets.setdefault(top, Echelon(field))
                 ech.insert(shifted)
     return buckets
 
@@ -721,7 +721,7 @@ def test_closure_equals_a_sympy_linearization_in_every_characteristic():
                     assert span.component(dict(key)) == []
                     continue
                 rows = [dict(r.quad.terms) for r in span.component(dict(key))]
-                want = oracle.get(key, Echelon(field, sort_key=weight_key))
+                want = oracle.get(key, Echelon(field))
                 assert len(rows) == want.rank, (text, bounds, field.characteristic, key)
                 assert all(want.contains(r) for r in rows), (text, bounds, field.characteristic, key)
             assert set(oracle) <= set(span.buckets)
